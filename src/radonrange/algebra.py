@@ -75,15 +75,15 @@ def shift_matrix(m: int, rho2) -> np.ndarray:
 
     Maps (p_{2k}, ..., p_{2k+2m-2}) to (p_{2k+2}, ..., p_{2k+2m}); it has
     determinant rho^(2m) and characteristic polynomial (lambda - rho^2)^m.
+    A float array of rho^2 values gives one matrix per value, stacked
+    along the leading axes.
     """
     exact = is_exact_scalar(rho2)
-    out = np.zeros((m, m), dtype=object if exact else float)
-    if exact:
-        out[:] = 0
+    out = np.zeros(np.shape(rho2) + (m, m), dtype=object if exact else float)
     for i in range(m - 1):
-        out[i, i + 1] = 1 if exact else 1.0
+        out[..., i, i + 1] = 1
     for k, rk in enumerate(recurrence_coeffs(m, rho2)):
-        out[m - 1, k] = rk
+        out[..., m - 1, k] = rk
     return out
 
 
@@ -92,16 +92,19 @@ def coefficient_matrix(m: int, rho) -> np.ndarray:
     moments: (p_0, ..., p_{2m-2}) = B (q_0, ..., q_{m-1}).
 
     Non-singular for every rho != 0 (its columns reduce to a Vandermonde
-    system); rho = 0 is rejected.
+    system); rho = 0 is rejected.  A float array of rho values gives one
+    matrix per value, stacked along the leading axes, and is rejected when
+    any value is zero.
     """
-    if rho == 0:
-        raise InvalidParameterError("rho must be nonzero")
     exact = is_exact_scalar(rho)
-    out = np.zeros((m, m), dtype=object if exact else float)
+    if np.any(rho == 0):
+        raise InvalidParameterError("rho must be nonzero")
+    out = np.zeros(np.shape(rho) + (m, m), dtype=object if exact else float)
     for k in range(m):
         for j in range(m):
             c = moments.falling_factorial(2 * k, j)
-            out[k, j] = c * rho ** (2 * k - j) if c else (0 if exact else 0.0)
+            if c:
+                out[..., k, j] = c * rho ** (2 * k - j)
     return out
 
 
@@ -268,55 +271,66 @@ def hankel_certificate(data: TangentialData, n: int | None = None) -> HankelCert
     elif float(np.max(np.abs(np.asarray(top, dtype=float)))) <= 1e-12:
         raise HypothesisViolatedError("q_{m-1} vanishes identically on the grid")
 
-    determinants = []
-    structure_ok = True
-    factor = math.factorial(m - 1)
-    cached_n_power = {}
-    for i in range(n):
-        hankel = [[p_arrays[t + u][i] for u in range(m)] for t in range(m)]
-        if exact:
-            det_val = exactla.det(exactla.fraction_matrix(hankel))
-        else:
-            det_val = float(np.linalg.det(np.asarray(hankel, dtype=float)))
-        determinants.append(det_val)
-
-        rho_i = rho_s[i]
-        key = rho_i
-        if key not in cached_n_power:
-            if exact:
-                npart = nilpotent_part(m, Fraction(rho_i))
-                cached_n_power[key] = exactla.mat_pow(npart, m - 1)
-            else:
-                rho_f = float(rho_i)
-                s = np.asarray(shift_matrix(m, rho_f * rho_f), dtype=float)
-                b = np.asarray(coefficient_matrix(m, rho_f), dtype=float)
-                npart = np.linalg.inv(b) @ s @ b - rho_f * rho_f * np.eye(m)
-                cached_n_power[key] = np.linalg.matrix_power(npart, m - 1)
-        n_power = cached_n_power[key]
-        q_vec = [q[i] for q in q_arrays]
-        if exact:
-            lhs = n_power @ np.asarray(q_vec, dtype=object)
-            c = (2 * Fraction(rho_i)) ** (m - 1) * factor
-            expected = [c * q_vec[m - 1]] + [0] * (m - 1)
-            if any(x != y for x, y in zip(lhs, expected)):
-                structure_ok = False
-        else:
-            lhs = n_power @ np.asarray(q_vec, dtype=float)
-            c = (2.0 * float(rho_i)) ** (m - 1) * factor
-            expected = np.zeros(m)
-            expected[0] = c * float(q_vec[m - 1])
-            scale = max(1e-30, float(np.max(np.abs(expected))), float(np.max(np.abs(lhs))))
-            if float(np.max(np.abs(lhs - expected))) > 1e-9 * scale:
-                structure_ok = False
+    if exact:
+        determinants, structure_ok = _exact_hankel_checks(m, p_arrays, rho_s, q_arrays)
+    else:
+        determinants, structure_ok = _float_hankel_checks(m, p_arrays, rho_s, q_arrays)
     max_abs = max(abs(float(d)) for d in determinants)
     return HankelCertificate(
         m=m,
         grid_size=n,
-        determinants=tuple(determinants),
+        determinants=determinants,
         max_abs_determinant=max_abs,
         structure_ok=structure_ok,
         exact=exact,
     )
+
+
+def _exact_hankel_checks(m: int, p_arrays, rho_s, q_arrays):
+    """Exact Hankel determinants and structural identity, node by node.
+
+    N^(m-1) depends on rho alone, so it is computed once per distinct rho.
+    """
+    determinants = []
+    structure_ok = True
+    c_factor = math.factorial(m - 1)
+    n_powers = {}
+    for i in range(len(rho_s)):
+        hankel = [[p_arrays[t + u][i] for u in range(m)] for t in range(m)]
+        determinants.append(exactla.det(exactla.fraction_matrix(hankel)))
+        rho_i = Fraction(rho_s[i])
+        if rho_i not in n_powers:
+            n_powers[rho_i] = exactla.mat_pow(nilpotent_part(m, rho_i), m - 1)
+        q_vec = [q[i] for q in q_arrays]
+        lhs = n_powers[rho_i] @ np.asarray(q_vec, dtype=object)
+        c = (2 * rho_i) ** (m - 1) * c_factor
+        expected = [c * q_vec[m - 1]] + [0] * (m - 1)
+        if any(x != y for x, y in zip(lhs, expected)):
+            structure_ok = False
+    return tuple(determinants), structure_ok
+
+
+def _float_hankel_checks(m: int, p_arrays, rho_s, q_arrays):
+    """Float Hankel determinants and structural identity (to 1e-9 relative)
+    over the whole grid at once, as stacked (n, m, m) arrays."""
+    p = np.stack([np.asarray(v, dtype=float) for v in p_arrays], axis=-1)
+    hankel = np.stack([p[:, t : t + m] for t in range(m)], axis=-2)
+    determinants = np.linalg.det(hankel)
+
+    rho = np.asarray(rho_s, dtype=float)
+    rho2 = rho * rho
+    b = coefficient_matrix(m, rho)  # raises InvalidParameterError where rho = 0
+    npart = np.linalg.inv(b) @ shift_matrix(m, rho2) @ b - rho2[:, None, None] * np.eye(m)
+    n_power = np.linalg.matrix_power(npart, m - 1)
+    q = np.stack([np.asarray(v, dtype=float) for v in q_arrays], axis=-1)
+    lhs = (n_power @ q[:, :, None])[..., 0]
+    expected = np.zeros_like(lhs)
+    expected[:, 0] = (2.0 * rho) ** (m - 1) * math.factorial(m - 1) * q[:, m - 1]
+    scale = np.maximum(
+        np.maximum(np.max(np.abs(expected), axis=1), np.max(np.abs(lhs), axis=1)), 1e-30
+    )
+    off = np.max(np.abs(lhs - expected), axis=1) > 1e-9 * scale
+    return tuple(determinants.tolist()), not off.any()
 
 
 # ---------------------------------------------------------------------------

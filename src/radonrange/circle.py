@@ -344,9 +344,6 @@ class CircleFunction:
     def as_float(self) -> np.ndarray:
         return np.asarray(self.values, dtype=float)
 
-    def at_index(self, i: int):
-        return self.values[i % self.n]
-
     def value_at(self, theta: float):
         """Value at an angle: grid nodes give the stored (possibly exact)
         sample; off-grid angles need ``poly``."""

@@ -31,6 +31,7 @@ import numpy as np
 
 from .circle import (
     DEFAULT_GRID_SIZE,
+    CircleFunction,
     TrigPoly,
     grid_index,
     is_exact_scalar,
@@ -45,16 +46,6 @@ from .errors import (
 
 #: below this relative threshold a float function counts as identically zero
 ZERO_THRESHOLD = 1e-12
-
-
-def _samples_even(v: np.ndarray) -> bool:
-    half = len(v) // 2
-    if v.dtype == object:
-        return all(v[i] == v[(i + half) % len(v)] for i in range(len(v)))
-    vf = np.asarray(v, dtype=float)
-    return bool(
-        np.max(np.abs(vf - np.roll(vf, -half))) <= 1e-9 * max(1.0, float(np.max(np.abs(vf))))
-    )
 
 
 def _exact_samples(values) -> np.ndarray | None:
@@ -103,7 +94,7 @@ class SupportFunction:
             object.__setattr__(self, "values", v)
             if any(x <= 0 for x in v):
                 raise PositivityError("sampled support function must be strictly positive")
-            if not _samples_even(v):
+            if not CircleFunction(v).is_even():
                 raise InvalidParameterError("sampled support function must be even (period pi)")
         else:
             poly = self.rho2_poly
@@ -359,7 +350,7 @@ class TangentialData:
                     raise InvalidParameterError(
                         "sampled densities must live on the support function grid"
                     )
-                if not _samples_even(q):
+                if not CircleFunction(q).is_even():
                     raise InvalidParameterError(f"density q_{j} must be even (period pi)")
         if self.minimal and _density_is_zero(qs[-1]):
             raise HypothesisViolatedError(

@@ -14,6 +14,11 @@ polynomials, and fitting the quadratic form certifies whether the body is
 an ellipse.  A window restricts the solve to an arc of directions; the
 global membership test is then explicitly not locally testable and is
 skipped.
+
+In float arithmetic the solve is grid-batched: the systems of all nodes
+are stacked into one (N, m, m) array that is conditioned, solved and
+checked at once, and a single node is a stack of one.  The exact
+(rational) solve runs node by node through :mod:`radonrange.exactla`.
 """
 
 from __future__ import annotations
@@ -155,57 +160,94 @@ def synthesize_moments(
     return MomentSequence(tuple(entries), source="synthetic")
 
 
-def _power_system(moment_seq: MomentSequence, m: int, index: int):
-    """Matrix and right side of the pointwise system in u_1..u_m at a node."""
-    p = [moment_seq.values(t)[index] for t in range(2 * m)]
-    rows = []
-    rhs = []
-    for r in range(m):
-        rows.append(
-            [(-1) ** (m - i) * math.comb(m, i) * p[r + m - i] for i in range(1, m + 1)]
-        )
-        rhs.append((-1) ** (m + 1) * p[r + m])
-    return rows, rhs
+def _power_system(moment_seq: MomentSequence, m: int, indices: np.ndarray):
+    """Stacked matrices (N, m, m) and right sides (N, m) of the pointwise
+    systems in u_1..u_m at the grid nodes ``indices``, in the moments' dtype."""
+    p = [moment_seq.values(t)[indices] for t in range(2 * m)]
+    rows = [
+        [(-1) ** (m - i) * math.comb(m, i) * p[r + m - i] for i in range(1, m + 1)]
+        for r in range(m)
+    ]
+    rhs = [(-1) ** (m + 1) * p[r + m] for r in range(m)]
+    return np.moveaxis(np.array(rows), -1, 0), np.moveaxis(np.array(rhs), -1, 0)
+
+
+def _int_power(values: np.ndarray, e: int) -> np.ndarray:
+    """``values ** e`` computed element by element as Python scalars do.
+
+    numpy's vectorized float power may round differently in the last bit
+    from the C ``pow`` that scalar arithmetic uses, and the residuals and
+    consistency checks must not depend on which of the two ran.
+    """
+    return np.array([v**e for v in values.tolist()], dtype=values.dtype)
+
+
+def _solve_float(
+    moment_seq: MomentSequence, m: int, indices: np.ndarray, consistency_tol: float
+):
+    """rho^2 at the float grid nodes ``indices``, solved as one stacked system.
+
+    Returns ``(rho2, degenerate)``: a float array and a mask of the nodes
+    whose system is singular (their rho^2 entries are meaningless).  Raises
+    :class:`NotInModelError` for the first non-degenerate node, in the order
+    of ``indices``, whose powers are inconsistent or whose rho^2 is
+    nonpositive.
+    """
+    a, b = _power_system(moment_seq, m, indices)
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    u = np.zeros((len(indices), m))
+    if m == 1:
+        # the 1x1 pivot is p_0; judge smallness against p_0 across the grid
+        pivot_scale = float(np.max(np.abs(np.asarray(moment_seq.values(0), dtype=float))))
+        degenerate = np.abs(a[:, 0, 0]) <= 1e-12 * max(pivot_scale, 1e-300)
+        ok = ~degenerate
+        u[ok] = b[ok] / a[ok, 0]
+    else:
+        degenerate = ~np.all(np.isfinite(a), axis=(1, 2))
+        finite = np.nonzero(~degenerate)[0]
+        degenerate[finite] = np.linalg.cond(a[finite]) > 1e13
+        ok = ~degenerate
+        u[ok] = np.linalg.solve(a[ok], b[ok, :, None])[..., 0]
+    u1 = u[:, 0].copy()
+    # smallest power i whose consistency u_i = u_1^i fails at each node (0: none)
+    failed_power = np.zeros(len(indices), dtype=int)
+    for i in range(m, 1, -1):
+        target = _int_power(u1, i)
+        scale = np.maximum(np.maximum(np.abs(u[:, i - 1]), np.abs(target)), 1e-30)
+        failed_power[np.abs(u[:, i - 1] - target) > consistency_tol * scale] = i
+    bad = ok & ((failed_power > 0) | (u1 <= 0))
+    if bad.any():
+        pos = int(np.argmax(bad))
+        index, i = int(indices[pos]), int(failed_power[pos])
+        if i:
+            raise NotInModelError(
+                f"power consistency fails at grid index {index}: u_{i} != u_1^{i}"
+            )
+        raise NotInModelError(f"rho^2 <= 0 at grid index {index}")
+    return u1, degenerate
 
 
 def _solve_at_index(
     moment_seq: MomentSequence, m: int, index: int, consistency_tol: float = 1e-8
 ):
     """rho^2 at one grid node; raises DegeneratePointError / NotInModelError."""
-    rows, rhs = _power_system(moment_seq, m, index)
-    exact = moment_seq.is_exact
-    if exact:
-        try:
-            u = exactla.solve(exactla.fraction_matrix(rows), exactla.fraction_vector(rhs))
-        except SingularMatrixError as exc:
-            raise DegeneratePointError(f"singular system at grid index {index}") from exc
-        u1 = u[0]
-        for i in range(2, m + 1):
-            if u[i - 1] != u1**i:
-                raise NotInModelError(
-                    f"power consistency fails at grid index {index}: u_{i} != u_1^{i}"
-                )
-    else:
-        a = np.asarray(rows, dtype=float)
-        b = np.asarray(rhs, dtype=float)
-        if m == 1:
-            # the 1x1 pivot is p_0; judge smallness against p_0 across the grid
-            pivot_scale = float(np.max(np.abs(np.asarray(moment_seq.values(0), dtype=float))))
-            if abs(a[0, 0]) <= 1e-12 * max(pivot_scale, 1e-300):
-                raise DegeneratePointError(f"singular system at grid index {index}")
-            u = np.array([b[0] / a[0, 0]])
-        else:
-            if not np.all(np.isfinite(a)) or np.linalg.cond(a) > 1e13:
-                raise DegeneratePointError(f"singular system at grid index {index}")
-            u = np.linalg.solve(a, b)
-        u1 = float(u[0])
-        for i in range(2, m + 1):
-            target = u1**i
-            scale = max(abs(float(u[i - 1])), abs(target), 1e-30)
-            if abs(float(u[i - 1]) - target) > consistency_tol * scale:
-                raise NotInModelError(
-                    f"power consistency fails at grid index {index}: u_{i} != u_1^{i}"
-                )
+    if not moment_seq.is_exact:
+        rho2, degenerate = _solve_float(moment_seq, m, np.array([index]), consistency_tol)
+        if degenerate[0]:
+            raise DegeneratePointError(f"singular system at grid index {index}")
+        return float(rho2[0])
+    a, b = _power_system(moment_seq, m, np.array([index]))
+    try:
+        u = exactla.solve(exactla.fraction_matrix(a[0]), exactla.fraction_vector(b[0]))
+    except SingularMatrixError as exc:
+        raise DegeneratePointError(f"singular system at grid index {index}") from exc
+    u1 = u[0]
+    for i in range(2, m + 1):
+        if u[i - 1] != u1**i:
+            raise NotInModelError(
+                f"power consistency fails at grid index {index}: u_{i} != u_1^{i}"
+            )
     if u1 <= 0:
         raise NotInModelError(f"rho^2 <= 0 at grid index {index}")
     return u1
@@ -348,17 +390,20 @@ def reconstruct(
     else:
         selected = np.arange(n)
 
-    exact = moment_seq.is_exact
-    rho2 = np.empty(len(selected), dtype=object if exact else float)
-    solved = np.zeros(len(selected), dtype=bool)
-    degenerate = []
+    if moment_seq.is_exact:
+        rho2 = np.empty(len(selected), dtype=object)
+        solved = np.zeros(len(selected), dtype=bool)
+        for pos, i in enumerate(selected):
+            try:
+                rho2[pos] = _solve_at_index(moment_seq, m, int(i), consistency_tol)
+                solved[pos] = True
+            except DegeneratePointError:
+                pass
+    else:
+        rho2, degenerate_mask = _solve_float(moment_seq, m, selected, consistency_tol)
+        solved = ~degenerate_mask
+    degenerate = [int(i) for i in selected[~solved]]
     notes = []
-    for pos, i in enumerate(selected):
-        try:
-            rho2[pos] = _solve_at_index(moment_seq, m, int(i), consistency_tol)
-            solved[pos] = True
-        except DegeneratePointError:
-            degenerate.append(int(i))
     if len(degenerate) > max_degenerate_fraction * len(selected):
         raise ReconstructionFailedError(
             f"{len(degenerate)} of {len(selected)} directions degenerate "
@@ -368,21 +413,23 @@ def reconstruct(
         notes.append(f"{len(degenerate)} degenerate directions were interpolated")
         rho2 = _fill_gaps(rho2, solved)
 
-    # recurrence residuals, evaluated with the recovered rho^2
+    # recurrence residuals, evaluated with the recovered rho^2; the maxima
+    # skip nan entries (np.fmax), so one overflowed node cannot hide the rest
+    p = [moment_seq.values(t)[selected] for t in range(moment_seq.max_half_order + 1)]
+    powers = [_int_power(rho2, m - k) for k in range(m + 1)]
     max_residual = 0.0
     residual_scale = 0.0
-    for pos, i in enumerate(selected):
-        u1 = rho2[pos]
-        p = [moment_seq.values(t)[int(i)] for t in range(moment_seq.max_half_order + 1)]
-        for r in range(moment_seq.max_half_order - m + 1):
-            res = 0
-            scale = 0.0
-            for k in range(m + 1):
-                term = (-1) ** k * math.comb(m, k) * u1 ** (m - k) * p[r + k]
-                res = res + term
-                scale += abs(float(term))
-            max_residual = max(max_residual, abs(float(res)))
-            residual_scale = max(residual_scale, scale)
+    for r in range(moment_seq.max_half_order - m + 1):
+        res = 0
+        scale = 0.0
+        for k in range(m + 1):
+            term = (-1) ** k * math.comb(m, k) * powers[k] * p[r + k]
+            res = res + term
+            scale = scale + np.abs(np.asarray(term, dtype=float))
+        max_residual = float(
+            np.fmax.reduce(np.abs(np.asarray(res, dtype=float)), initial=max_residual)
+        )
+        residual_scale = float(np.fmax.reduce(scale, initial=residual_scale))
 
     quadratic_verdict = None
     membership_note = None

@@ -7,6 +7,7 @@ import pytest
 from radonrange import (
     HypothesisViolatedError,
     InvalidParameterError,
+    SupportFunction,
     TangentialData,
     coefficient_matrix,
     conjugated_shift,
@@ -16,7 +17,9 @@ from radonrange import (
     identity_suite,
     krylov_spans,
     make_ellipse,
+    moment,
     nilpotent_part,
+    perturb,
     recurrence_coeffs,
     recurrence_residual,
     shift_matrix,
@@ -25,7 +28,7 @@ from radonrange import (
 )
 from radonrange import exactla
 from radonrange.algebra import binomial_poly_coeffs, krylov_matrix, recurrence_poly_coeffs
-from tests.conftest import random_exact_data, random_fraction
+from tests.conftest import random_exact_data, random_fraction, smooth_densities
 
 
 class TestDifferenceResidual:
@@ -265,3 +268,61 @@ def test_identity_suite_all_pass():
     names = [name for name, _, _ in results]
     assert "difference-identities" in names
     assert "hankel-certificate-disk" in names
+
+
+class TestBatchedFloatCertificate:
+    @staticmethod
+    def _reference(data, n):
+        """Per-node determinants and structural identity of the float path."""
+        m = data.m
+        p = [np.asarray(moment(data, 2 * t, n).values, float) for t in range(2 * m - 1)]
+        rho_s = np.asarray(data.rho.rho_samples(n), float)
+        q = [np.asarray(data.density_samples(j, n), float) for j in range(m)]
+        dets, structure_ok = [], True
+        for i in range(n):
+            dets.append(float(np.linalg.det(
+                np.asarray([[p[t + u][i] for u in range(m)] for t in range(m)]))))
+            rho = float(rho_s[i])
+            s = shift_matrix(m, rho * rho)
+            b = coefficient_matrix(m, rho)
+            npart = np.linalg.inv(b) @ s @ b - rho * rho * np.eye(m)
+            lhs = np.linalg.matrix_power(npart, m - 1) @ np.asarray([qj[i] for qj in q])
+            expected = np.zeros(m)
+            expected[0] = (2.0 * rho) ** (m - 1) * math.factorial(m - 1) * q[m - 1][i]
+            scale = max(1e-30, float(np.max(np.abs(expected))), float(np.max(np.abs(lhs))))
+            if float(np.max(np.abs(lhs - expected))) > 1e-9 * scale:
+                structure_ok = False
+        return dets, structure_ok
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize("eps", [0.0, 0.02])
+    def test_matches_the_per_node_reference(self, m, eps, rng):
+        body = make_ellipse(1.6, 1.0, rng.uniform(0.0, math.pi))
+        if eps:
+            body = perturb(body, eps, 4)
+        data = TangentialData(body, smooth_densities(rng, m))
+        cert = hankel_certificate(data, n=64)
+        dets, structure_ok = self._reference(data, 64)
+        assert not cert.exact
+        assert cert.structure_ok == structure_ok
+        assert cert.verdict
+        got = np.asarray(cert.determinants)
+        assert np.all(np.abs(got - dets) <= 1e-12 * np.abs(dets))
+        assert cert.max_abs_determinant == max(abs(d) for d in cert.determinants)
+
+    def test_zero_rho_node_is_rejected(self):
+        # a sampled support function whose samples were zeroed after validation
+        rho = SupportFunction.from_samples(np.full(16, 1.5))
+        rho.values[3] = rho.values[11] = 0.0
+        data = TangentialData(rho, (1.0, 0.5))
+        with pytest.raises(InvalidParameterError, match="rho must be nonzero"):
+            hankel_certificate(data)
+
+    def test_stacked_matrices_equal_the_scalar_ones(self):
+        rho = np.array([0.5, 1.0, 2.5])
+        for m in (1, 3):
+            for i, r in enumerate(rho):
+                assert np.array_equal(coefficient_matrix(m, rho)[i], coefficient_matrix(m, r))
+                assert np.array_equal(shift_matrix(m, rho * rho)[i], shift_matrix(m, r * r))
+        with pytest.raises(InvalidParameterError):
+            coefficient_matrix(2, np.array([1.0, 0.0]))

@@ -227,3 +227,167 @@ class TestMomentSequenceValidation:
         assert seq.max_half_order == 3
         assert seq.grid_size == 512
         assert seq.is_exact
+
+
+# ---------------------------------------------------------------------------
+# the grid-batched float solve against the per-node loop it replaced
+# ---------------------------------------------------------------------------
+
+
+def _reference_node(seq, m, index, consistency_tol=1e-8):
+    """Float rho^2 at one node as a per-node loop computes it; the raised
+    exception class and message are part of the reference."""
+    p = [seq.values(t)[index] for t in range(2 * m)]
+    a = np.asarray(
+        [[(-1) ** (m - i) * math.comb(m, i) * p[r + m - i] for i in range(1, m + 1)]
+         for r in range(m)],
+        dtype=float,
+    )
+    b = np.asarray([(-1) ** (m + 1) * p[r + m] for r in range(m)], dtype=float)
+    if m == 1:
+        pivot_scale = float(np.max(np.abs(np.asarray(seq.values(0), dtype=float))))
+        if abs(a[0, 0]) <= 1e-12 * max(pivot_scale, 1e-300):
+            raise DegeneratePointError(f"singular system at grid index {index}")
+        u = np.array([b[0] / a[0, 0]])
+    else:
+        if not np.all(np.isfinite(a)) or np.linalg.cond(a) > 1e13:
+            raise DegeneratePointError(f"singular system at grid index {index}")
+        u = np.linalg.solve(a, b)
+    u1 = float(u[0])
+    for i in range(2, m + 1):
+        target = u1**i
+        scale = max(abs(float(u[i - 1])), abs(target), 1e-30)
+        if abs(float(u[i - 1]) - target) > consistency_tol * scale:
+            raise NotInModelError(
+                f"power consistency fails at grid index {index}: u_{i} != u_1^{i}"
+            )
+    if u1 <= 0:
+        raise NotInModelError(f"rho^2 <= 0 at grid index {index}")
+    return u1
+
+
+def _reference_residual(seq, m, nodes):
+    """(max residual, residual scale) over ``nodes``, a list of (index, rho^2)."""
+    max_residual = residual_scale = 0.0
+    for i, u1 in nodes:
+        p = [seq.values(t)[i] for t in range(seq.max_half_order + 1)]
+        for r in range(seq.max_half_order - m + 1):
+            res, scale = 0, 0.0
+            for k in range(m + 1):
+                term = (-1) ** k * math.comb(m, k) * u1 ** (m - k) * p[r + k]
+                res = res + term
+                scale += abs(float(term))
+            max_residual = max(max_residual, abs(float(res)))
+            residual_scale = max(residual_scale, scale)
+    return max_residual, residual_scale
+
+
+def _reference_reconstruct(seq, m):
+    """(rho^2 after gap filling, degenerate indices, max residual, residual
+    scale) from per-node loops; raises what the first failing node raises."""
+    n = seq.grid_size
+    rho2 = np.zeros(n)
+    degenerate = []
+    for i in range(n):
+        try:
+            rho2[i] = _reference_node(seq, m, i)
+        except DegeneratePointError:
+            degenerate.append(i)
+    solved = np.ones(n, dtype=bool)
+    solved[degenerate] = False
+    solved_idx = np.nonzero(solved)[0]
+    filled = rho2.copy()
+    for i in degenerate:
+        fwd = solved_idx[np.argmin((solved_idx - i) % n)]
+        back = solved_idx[np.argmin((i - solved_idx) % n)]
+        filled[i] = 0.5 * (rho2[fwd] + rho2[back])
+    residual = _reference_residual(seq, m, list(enumerate(filled)))
+    return (filled, tuple(degenerate), *residual)
+
+
+def _external(rows, source="external"):
+    return MomentSequence(tuple(CircleFunction(np.asarray(r, float)) for r in rows), source=source)
+
+
+def _double_root_moments(n, lam):
+    """m = 2 moments p_{2t} = (1 + t) lam^t at every node (a double root lam)."""
+    return [np.full(n, (1.0 + t) * lam**t) for t in range(4)]
+
+
+def _set_node(rows, index, values):
+    """Overwrite one node and its antipode, which keeps the moments even."""
+    n = len(rows[0])
+    for t, v in enumerate(values):
+        rows[t][index] = rows[t][(index + n // 2) % n] = v
+
+
+class TestBatchedFloatSolve:
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize("eps", [0.0, 0.02])
+    def test_grid_values_equal_the_single_node_solve(self, m, eps, rng):
+        body = make_ellipse(1.6, 1.0, rng.uniform(0.0, math.pi))
+        if eps:
+            body = perturb(body, eps, 4)
+        seq = synthesize_moments(TangentialData(body, smooth_densities(rng, m)), 3 * m, n=64)
+        report = reconstruct(seq, m)
+        thetas = theta_grid(64)
+        for i in range(64):
+            assert report.rho2_values[i] == solve_rho2(seq, m, float(thetas[i]))
+            assert report.rho2_values[i] == _reference_node(seq, m, i)
+        _, degenerate, max_residual, residual_scale = _reference_reconstruct(seq, m)
+        assert report.degenerate_indices == degenerate == ()
+        assert report.max_residual == max_residual
+        assert report.residual_scale == residual_scale
+        # a one-node window exposes each node's residuals, not only the grid maximum
+        for i in range(64):
+            node = reconstruct(seq, m, window=(thetas[i], thetas[i] + 1e-9))
+            assert node.indices == (i,)
+            want = _reference_residual(seq, m, [(i, report.rho2_values[i])])
+            assert (node.max_residual, node.residual_scale) == want
+
+    def test_first_failing_node_in_scan_order_is_named(self):
+        n = 16
+        rows = _double_root_moments(n, 1.3)
+        _set_node(rows, 2, [(1.0 + t) * (-0.5) ** t for t in range(4)])  # rho^2 = -0.5
+        _set_node(rows, 5, [1.0, 2.6, 3 * 1.69 * 1.001, 4 * 1.3**3])  # u_2 != u_1^2
+        with pytest.raises(NotInModelError, match=r"^rho\^2 <= 0 at grid index 2$"):
+            reconstruct(_external(rows), 2)
+        with pytest.raises(NotInModelError, match=r"^rho\^2 <= 0 at grid index 2$"):
+            _reference_reconstruct(_external(rows), 2)
+
+        rows = _double_root_moments(n, 1.3)
+        _set_node(rows, 3, [1.0, 2.6, 3 * 1.69 * 1.001, 4 * 1.3**3])
+        _set_node(rows, 6, [(1.0 + t) * (-0.5) ** t for t in range(4)])
+        message = r"^power consistency fails at grid index 3: u_2 != u_1\^2$"
+        with pytest.raises(NotInModelError, match=message):
+            reconstruct(_external(rows), 2)
+        with pytest.raises(NotInModelError, match=message):
+            _reference_reconstruct(_external(rows), 2)
+        with pytest.raises(NotInModelError, match=message):
+            solve_rho2(_external(rows), 2, float(theta_grid(n)[3]))
+
+    def test_nonpositive_node_message_at_m1(self):
+        rows = [np.ones(8), np.ones(8)]
+        _set_node(rows, 1, [1.0, -2.0])
+        with pytest.raises(NotInModelError, match=r"^rho\^2 <= 0 at grid index 1$"):
+            reconstruct(_external(rows), 1)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_degenerate_nodes_match_the_per_node_loop(self):
+        n = 128
+        rows = _double_root_moments(n, 1.3)
+        _set_node(rows, 9, [1.0, 1e308, 1.0, 1.0])  # the system overflows: non-finite
+        _set_node(rows, 40, [1.0, 2.0, 4.0, 8.0])  # rank-one Hankel: singular
+        seq = _external(rows)
+        report = reconstruct(seq, 2)
+        filled, degenerate, max_residual, residual_scale = _reference_reconstruct(seq, 2)
+        assert report.degenerate_indices == degenerate == (9, 40, 73, 104)
+        assert np.array_equal(report.rho2_values, filled)
+        assert report.max_residual == max_residual
+        assert report.residual_scale == residual_scale
+        assert report.notes[0] == "4 degenerate directions were interpolated"
+
+        _set_node(rows, 20, [1.0, 2.0, 4.0, 8.0])
+        _set_node(rows, 30, [1.0, 1e308, 1.0, 1.0])
+        with pytest.raises(ReconstructionFailedError, match="8 of 128 directions degenerate"):
+            reconstruct(_external(rows), 2)
