@@ -25,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import exactla, moments
-from .circle import is_exact_scalar
+from .circle import distinct_nodes, is_exact_scalar
 from .errors import (
     HypothesisViolatedError,
     InternalConsistencyError,
@@ -121,7 +121,7 @@ def conjugated_shift(m: int, rho) -> np.ndarray:
     rho = Fraction(rho)
     s = shift_matrix(m, rho * rho)
     b = coefficient_matrix(m, rho)
-    out = exactla.inv(b) @ s @ b
+    out = exactla.matmul(exactla.matmul(exactla.inv(b), s), b)
     for i in range(m):
         if out[i, i] != rho * rho:
             raise InternalConsistencyError("conjugated shift has a wrong diagonal entry")
@@ -148,7 +148,7 @@ def krylov_matrix(a: np.ndarray, z: np.ndarray) -> np.ndarray:
     m = a.shape[0]
     cols = [np.asarray(z, dtype=object)]
     for _ in range(m - 1):
-        cols.append(a @ cols[-1])
+        cols.append(exactla.matmul(a, cols[-1]))
     out = np.empty((m, m), dtype=object)
     for j, col in enumerate(cols):
         out[:, j] = col
@@ -160,18 +160,21 @@ def krylov_spans(a: np.ndarray, z: np.ndarray, eigenvalue) -> bool:
 
     Requires (A - eigenvalue I)^m = 0 (checked).  Decides the question two
     ways - an exact rank computation and the single-vector criterion
-    (A - eigenvalue I)^(m-1) z != 0 - and insists they agree.
+    (A - eigenvalue I)^(m-1) z != 0 - and insists they agree.  The power
+    (A - eigenvalue I)^(m-1) is computed once and serves both the
+    nilpotency check and the criterion.
     """
     m = a.shape[0]
     shifted = np.asarray(a, dtype=object).copy()
     for i in range(m):
         shifted[i, i] = shifted[i, i] - eigenvalue
-    if not exactla.is_zero(exactla.mat_pow(shifted, m)):
+    top_power = exactla.mat_pow(shifted, m - 1)
+    if not exactla.is_zero(exactla.matmul(top_power, shifted)):
         raise InvalidParameterError(
             "matrix does not have the given value as an m-fold eigenvalue"
         )
     by_rank = exactla.rank(krylov_matrix(a, z)) == m
-    power = exactla.mat_pow(shifted, m - 1) @ np.asarray(z, dtype=object)
+    power = exactla.matmul(top_power, np.asarray(z, dtype=object))
     by_power = any(x != 0 for x in power)
     if by_rank != by_power:
         raise InternalConsistencyError("the two Krylov span criteria disagree")
@@ -287,27 +290,30 @@ def hankel_certificate(data: TangentialData, n: int | None = None) -> HankelCert
 
 
 def _exact_hankel_checks(m: int, p_arrays, rho_s, q_arrays):
-    """Exact Hankel determinants and structural identity, node by node.
+    """Exact Hankel determinants and structural identity, once per distinct node.
 
-    N^(m-1) depends on rho alone, so it is computed once per distinct rho.
+    Both are functions of a node's values (p, rho, q), so they are computed
+    at the first node of each distinct tuple and gathered back over the
+    grid; N^(m-1) depends on rho alone and is computed once per distinct rho.
     """
+    representatives, inverse = distinct_nodes([*p_arrays, rho_s, *q_arrays])
     determinants = []
     structure_ok = True
     c_factor = math.factorial(m - 1)
     n_powers = {}
-    for i in range(len(rho_s)):
+    for i in representatives:
         hankel = [[p_arrays[t + u][i] for u in range(m)] for t in range(m)]
         determinants.append(exactla.det(exactla.fraction_matrix(hankel)))
         rho_i = Fraction(rho_s[i])
         if rho_i not in n_powers:
             n_powers[rho_i] = exactla.mat_pow(nilpotent_part(m, rho_i), m - 1)
         q_vec = [q[i] for q in q_arrays]
-        lhs = n_powers[rho_i] @ np.asarray(q_vec, dtype=object)
+        lhs = exactla.matmul(n_powers[rho_i], np.asarray(q_vec, dtype=object))
         c = (2 * rho_i) ** (m - 1) * c_factor
         expected = [c * q_vec[m - 1]] + [0] * (m - 1)
         if any(x != y for x, y in zip(lhs, expected)):
             structure_ok = False
-    return tuple(determinants), structure_ok
+    return tuple(determinants[k] for k in inverse.tolist()), structure_ok
 
 
 def _float_hankel_checks(m: int, p_arrays, rho_s, q_arrays):
@@ -465,9 +471,9 @@ def identity_suite(m_max: int = 6, r_max: int = 20, seed: int = 20250810) -> lis
                             [seq.values(t)[i] for t in range(seq.max_half_order + 1)], m, k
                         )
                     )
-                    if not exactla.is_zero(power @ a0 - ak):
+                    if not exactla.is_zero(exactla.matmul(power, a0) - ak):
                         return False, f"Hankel shift fails at m={m}, k={k}"
-                    power = power @ s
+                    power = exactla.matmul(power, s)
         return True, "A_k = S^k A_0 for k <= 3 on synthetic exact data"
 
     def check_disk_certificate():

@@ -47,6 +47,30 @@ def grid_index(theta: float, n: int) -> int:
     return int(k) % n
 
 
+def distinct_nodes(columns) -> tuple:
+    """``(representatives, inverse)`` of the grid nodes by their values.
+
+    ``columns`` are equal-length sequences of exact values (ints, Fractions
+    or finite floats), one per quantity; node i is the tuple of column
+    entries at i, compared through ``as_integer_ratio`` so that equal
+    values match whatever their type.  ``representatives`` holds the first
+    index of each distinct tuple, in scan order, and ``inverse[i]`` is the
+    position in ``representatives`` of node i's tuple, so
+    ``values[representatives][inverse]`` rebuilds any per-node array that
+    is a function of the tuple.
+    """
+    first: dict = {}
+    representatives = []
+    inverse = []
+    ratios = [[x.as_integer_ratio() for x in column] for column in columns]
+    for i, key in enumerate(zip(*ratios)):
+        pos = first.setdefault(key, len(representatives))
+        if pos == len(representatives):
+            representatives.append(i)
+        inverse.append(pos)
+    return np.array(representatives, dtype=np.intp), np.array(inverse, dtype=np.intp)
+
+
 def is_exact_scalar(x) -> bool:
     """True for ints and Fractions (exact rationals), False for floats."""
     return isinstance(x, Rational)

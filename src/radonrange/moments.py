@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from .circle import CircleFunction, TrigPoly, zero_circle_function
+from .circle import CircleFunction, TrigPoly, distinct_nodes, zero_circle_function
 from .errors import InvalidParameterError
 from .geometry import SupportFunction, TangentialData
 
@@ -62,45 +62,61 @@ def moment(data: TangentialData, k: int, n: int | None = None) -> CircleFunction
     Odd k gives the zero function.  Samples are exact (Fractions) whenever
     the data are; the closed trigonometric form is attached whenever all
     required powers of rho have one (always for even-only densities, and
-    for disks in general).
+    for disks in general).  Exact samples are computed once per distinct
+    node value of (rho, q_j for the orders j <= k that occur) and gathered
+    back over the grid.
     """
     if n is None:
         n = data.natural_grid_size
-    exact = data.is_exact
     if k % 2 == 1:
-        return zero_circle_function(n, exact)
+        return zero_circle_function(n, data.is_exact)
+    return even_moments(data, [k], n)[0]
 
+
+def even_moments(data: TangentialData, orders, n: int, weight: int = 2) -> list:
+    """:func:`moment` for each even order in ``orders``, sampling rho and the
+    densities once for all of them.
+
+    ``weight`` is the overall factor of the pairing: 2 gives the raw
+    moments, 1 the halved ones that ``synthesize_moments`` hands on.
+    """
+    exact = data.is_exact
+    used = range(min(data.m, max(orders) + 1))  # q_j enters p_k iff j <= k
     rho_s = data.rho.rho_samples(n)
-    if not exact:
+    q_s = [data.density_samples(j, n) for j in used]
+    if exact:
+        representatives, inverse = distinct_nodes([rho_s, *q_s])
+        rho_s = rho_s[representatives]
+        q_s = [q[representatives] for q in q_s]
+    else:
         rho_s = np.asarray(rho_s, dtype=float)
-    total = None
-    poly_terms = []
-    poly_ok = True
-    for j in range(data.m):
-        c = falling_factorial(k, j)
-        if c == 0:
-            continue
-        sign = -1 if j % 2 else 1
-        qs = data.density_samples(j, n)
-        if not exact:
-            qs = np.asarray(qs, dtype=float)
-        term = (2 * c * sign) * qs * rho_s ** (k - j)
-        total = term if total is None else total + term
+        q_s = [np.asarray(q, dtype=float) for q in q_s]
+    out = []
+    for k in orders:
+        total = None
+        poly_terms = []
+        poly_ok = True
+        for j, q in zip(range(min(data.m, k + 1)), q_s):
+            c = falling_factorial(k, j)
+            sign = -1 if j % 2 else 1
+            term = (weight * c * sign) * q * rho_s ** (k - j)
+            total = term if total is None else total + term
+            if poly_ok:
+                q_poly = data.density_poly(j)
+                rho_pow = _rho_power_poly(data.rho, k - j)
+                if q_poly is None or rho_pow is None:
+                    poly_ok = False
+                else:
+                    poly_terms.append((weight * c * sign) * q_poly * rho_pow)
+        if exact:
+            total = total[inverse]
+        poly = None
         if poly_ok:
-            q_poly = data.density_poly(j)
-            rho_pow = _rho_power_poly(data.rho, k - j)
-            if q_poly is None or rho_pow is None:
-                poly_ok = False
-            else:
-                poly_terms.append((2 * c * sign) * q_poly * rho_pow)
-    if total is None:
-        return zero_circle_function(n, exact)
-    poly = None
-    if poly_ok:
-        poly = TrigPoly.zero()
-        for t in poly_terms:
-            poly = poly + t
-    return CircleFunction(total, poly)
+            poly = TrigPoly.zero()
+            for t in poly_terms:
+                poly = poly + t
+        out.append(CircleFunction(total, poly))
+    return out
 
 
 def _delta_pairing(j: int, a, k: int):

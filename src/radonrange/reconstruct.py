@@ -18,7 +18,10 @@ skipped.
 In float arithmetic the solve is grid-batched: the systems of all nodes
 are stacked into one (N, m, m) array that is conditioned, solved and
 checked at once, and a single node is a stack of one.  The exact
-(rational) solve runs node by node through :mod:`radonrange.exactla`.
+(rational) solve, its recurrence residuals and the exact Hankel
+certificate run once per distinct node through :mod:`radonrange.exactla`:
+nodes that hold identical exact values share one computation, whose result
+is gathered back over the grid.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from . import exactla
 from .circle import (
     CircleFunction,
     TrigPoly,
+    distinct_nodes,
     grid_index,
     theta_grid,
     trig_from_samples,
@@ -46,7 +50,7 @@ from .errors import (
     SingularMatrixError,
 )
 from .geometry import TangentialData, fit_quadratic_form
-from .moments import falling_factorial
+from .moments import even_moments
 from .rangetest import MembershipReport, is_homogeneous_restriction
 
 #: budget of grid directions allowed to have a singular pointwise system
@@ -107,8 +111,9 @@ def synthesize_moments(
     The densities are handed off signed, qt_j = (-1)^j q_j, and the overall
     factor 2 of the distribution pairing is dropped; that normalization
     makes the sequence exactly the input the elimination layer expects.
-    Equivalently each entry is half the corresponding raw moment, which
-    tests assert.
+    Each entry is therefore half the raw moment of :func:`moments.moment`;
+    both come from the one moment kernel, which samples rho and the
+    densities once for all orders.
     """
     m = data.m
     if max_half_order < 3 * m - 2:
@@ -117,47 +122,8 @@ def synthesize_moments(
         )
     if n is None:
         n = data.natural_grid_size
-    exact = data.is_exact
-    entries = []
-    rho_s = data.rho.rho_samples(n)
-    if not exact:
-        rho_s = np.asarray(rho_s, dtype=float)
-    for k in range(max_half_order + 1):
-        total = None
-        poly_terms = []
-        poly_ok = True
-        for j in range(m):
-            c = falling_factorial(2 * k, j)
-            if c == 0:
-                continue
-            sign = -1 if j % 2 else 1
-            qs = data.density_samples(j, n)
-            if not exact:
-                qs = np.asarray(qs, dtype=float)
-            term = (c * sign) * qs * rho_s ** (2 * k - j)
-            total = term if total is None else total + term
-            if poly_ok:
-                from .moments import _rho_power_poly
-
-                q_poly = data.density_poly(j)
-                rho_pow = _rho_power_poly(data.rho, 2 * k - j)
-                if q_poly is None or rho_pow is None:
-                    poly_ok = False
-                else:
-                    poly_terms.append((c * sign) * q_poly * rho_pow)
-        if total is None:
-            zeros = np.zeros(n, dtype=object if exact else float)
-            if exact:
-                zeros[:] = 0
-            entries.append(CircleFunction(zeros, TrigPoly.zero()))
-            continue
-        poly = None
-        if poly_ok:
-            poly = TrigPoly.zero()
-            for t in poly_terms:
-                poly = poly + t
-        entries.append(CircleFunction(total, poly))
-    return MomentSequence(tuple(entries), source="synthetic")
+    orders = [2 * k for k in range(max_half_order + 1)]
+    return MomentSequence(tuple(even_moments(data, orders, n, weight=1)), source="synthetic")
 
 
 def _power_system(moment_seq: MomentSequence, m: int, indices: np.ndarray):
@@ -239,7 +205,7 @@ def _solve_at_index(
         return float(rho2[0])
     a, b = _power_system(moment_seq, m, np.array([index]))
     try:
-        u = exactla.solve(exactla.fraction_matrix(a[0]), exactla.fraction_vector(b[0]))
+        u = exactla.solve(a[0], b[0])
     except SingularMatrixError as exc:
         raise DegeneratePointError(f"singular system at grid index {index}") from exc
     u1 = u[0]
@@ -390,15 +356,23 @@ def reconstruct(
     else:
         selected = np.arange(n)
 
-    if moment_seq.is_exact:
-        rho2 = np.empty(len(selected), dtype=object)
-        solved = np.zeros(len(selected), dtype=bool)
-        for pos, i in enumerate(selected):
+    exact = moment_seq.is_exact
+    if exact:
+        # the system at a node is a function of p_0..p_{2m-1} there: solve it
+        # at the first node of each distinct tuple, in scan order, so the
+        # first failing node is still the one an error names
+        representatives, inverse = distinct_nodes(
+            [moment_seq.values(t)[selected] for t in range(2 * m)]
+        )
+        rho2 = np.empty(len(representatives), dtype=object)
+        solved = np.zeros(len(representatives), dtype=bool)
+        for pos, i in enumerate(selected[representatives]):
             try:
                 rho2[pos] = _solve_at_index(moment_seq, m, int(i), consistency_tol)
                 solved[pos] = True
             except DegeneratePointError:
                 pass
+        rho2, solved = rho2[inverse], solved[inverse]
     else:
         rho2, degenerate_mask = _solve_float(moment_seq, m, selected, consistency_tol)
         solved = ~degenerate_mask
@@ -414,9 +388,16 @@ def reconstruct(
         rho2 = _fill_gaps(rho2, solved)
 
     # recurrence residuals, evaluated with the recovered rho^2; the maxima
-    # skip nan entries (np.fmax), so one overflowed node cannot hide the rest
+    # skip nan entries (np.fmax), so one overflowed node cannot hide the rest.
+    # Exact residuals are functions of (rho^2, p_0..p_K) at a node, so their
+    # maxima are taken over the distinct tuples only
     p = [moment_seq.values(t)[selected] for t in range(moment_seq.max_half_order + 1)]
-    powers = [_int_power(rho2, m - k) for k in range(m + 1)]
+    node_rho2 = rho2
+    if exact:
+        representatives, _ = distinct_nodes([rho2, *p])
+        node_rho2 = rho2[representatives]
+        p = [col[representatives] for col in p]
+    powers = [_int_power(node_rho2, m - k) for k in range(m + 1)]
     max_residual = 0.0
     residual_scale = 0.0
     for r in range(moment_seq.max_half_order - m + 1):

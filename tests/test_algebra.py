@@ -18,6 +18,7 @@ from radonrange import (
     krylov_spans,
     make_ellipse,
     moment,
+    moment_oracle,
     nilpotent_part,
     perturb,
     recurrence_coeffs,
@@ -25,10 +26,11 @@ from radonrange import (
     shift_matrix,
     synthesize_moments,
     tangential_disk_data,
+    theta_grid,
 )
 from radonrange import exactla
 from radonrange.algebra import binomial_poly_coeffs, krylov_matrix, recurrence_poly_coeffs
-from tests.conftest import random_exact_data, random_fraction, smooth_densities
+from tests.conftest import mirrored, random_exact_data, random_fraction, smooth_densities
 
 
 class TestDifferenceResidual:
@@ -326,3 +328,23 @@ class TestBatchedFloatCertificate:
                 assert np.array_equal(shift_matrix(m, rho * rho)[i], shift_matrix(m, r * r))
         with pytest.raises(InvalidParameterError):
             coefficient_matrix(2, np.array([1.0, 0.0]))
+
+
+class TestExactHankelOnDistinctNodes:
+    def test_determinants_equal_the_per_node_reference(self, rng):
+        n = 16
+        # few distinct values, so most nodes repeat an earlier one
+        pool = [Fraction(1), Fraction(3, 2), Fraction(2)]
+        for m in (1, 2, 3):
+            rho = SupportFunction.from_samples(
+                mirrored([rng.choice(pool) for _ in range(n // 2)]))
+            densities = tuple(mirrored([rng.choice(pool) * (-1) ** j for _ in range(n // 2)])
+                              for j in range(m))
+            data = TangentialData(rho, densities)
+            cert = hankel_certificate(data, n)
+            thetas = theta_grid(n)
+            for i in range(n):
+                hankel = [[moment_oracle(data, 2 * (t + u), float(thetas[i])) for u in range(m)]
+                          for t in range(m)]
+                assert cert.determinants[i] == exactla.det(exactla.fraction_matrix(hankel))
+            assert cert.structure_ok

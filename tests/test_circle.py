@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from radonrange import CircleFunction, InvalidParameterError, TrigPoly, theta_grid, trig_from_samples
-from radonrange.circle import fourier_energy, grid_index
+from radonrange.circle import distinct_nodes, fourier_energy, grid_index
 
 
 def test_evaluation_matches_direct_sum():
@@ -103,3 +103,13 @@ def test_bad_grid_sizes_rejected():
         theta_grid(7)
     with pytest.raises(InvalidParameterError):
         TrigPoly((1,), (2,))  # nonzero sin at frequency 0
+
+
+def test_distinct_nodes_first_index_in_scan_order():
+    rho = [Fraction(1), 2, Fraction(1), Fraction(3), Fraction(2), 1]
+    q = [5, 5, 5, 5, 5, Fraction(7)]
+    representatives, inverse = distinct_nodes([rho, q])
+    assert representatives.tolist() == [0, 1, 3, 5]
+    assert inverse.tolist() == [0, 1, 0, 2, 1, 3]
+    values = np.asarray(rho, dtype=object)
+    assert list(values[representatives][inverse]) == rho

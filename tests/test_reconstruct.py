@@ -11,6 +11,7 @@ from radonrange import (
     MomentSequence,
     NotInModelError,
     ReconstructionFailedError,
+    SupportFunction,
     TangentialData,
     TrigPoly,
     disk,
@@ -23,7 +24,8 @@ from radonrange import (
     synthesize_moments,
     theta_grid,
 )
-from tests.conftest import random_ellipse, smooth_densities
+from radonrange.reconstruct import _solve_at_index
+from tests.conftest import mirrored, random_ellipse, smooth_densities
 
 
 class TestSynthesizeMoments:
@@ -391,3 +393,76 @@ class TestBatchedFloatSolve:
         _set_node(rows, 30, [1.0, 1e308, 1.0, 1.0])
         with pytest.raises(ReconstructionFailedError, match="8 of 128 directions degenerate"):
             reconstruct(_external(rows), 2)
+
+
+# ---------------------------------------------------------------------------
+# the exact solve, run once per distinct node, against the per-node loop
+# ---------------------------------------------------------------------------
+
+
+def _exact_per_node(seq, m):
+    """(rho^2 after gap filling, degenerate indices, max residual, residual
+    scale) from ``_solve_at_index`` at every node; raises what the first
+    failing node raises."""
+    n = seq.grid_size
+    rho2 = np.empty(n, dtype=object)
+    degenerate = []
+    for i in range(n):
+        try:
+            rho2[i] = _solve_at_index(seq, m, i)
+        except DegeneratePointError:
+            degenerate.append(i)
+    solved = [i for i in range(n) if i not in degenerate]
+    filled = rho2.copy()
+    for i in degenerate:
+        fwd = min(solved, key=lambda s: (s - i) % n)
+        back = min(solved, key=lambda s: (i - s) % n)
+        filled[i] = Fraction(1, 2) * (rho2[fwd] + rho2[back])
+    residual = _reference_residual(seq, m, list(enumerate(filled)))
+    return (filled, tuple(degenerate), *residual)
+
+
+def _exact_rows(rows):
+    return MomentSequence(tuple(CircleFunction(np.asarray(r, dtype=object)) for r in rows))
+
+
+class TestExactSolveOnDistinctNodes:
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_repeated_node_values_match_the_per_node_loop(self, m, rng):
+        n = 64
+        pool = [Fraction(1), Fraction(5, 4), Fraction(2)]
+        rho = [rng.choice(pool) for _ in range(n // 2)]
+        densities = [[rng.choice(pool) for _ in range(n // 2)] for _ in range(m)]
+        if m > 1:
+            densities[-1][7] = 0  # q_{m-1} = 0: a singular system at nodes 7 and 39
+        data = TangentialData(SupportFunction.from_samples(mirrored(rho)),
+                              tuple(mirrored(q) for q in densities))
+        seq = synthesize_moments(data, 3 * m)
+        report = reconstruct(seq, m)
+        filled, degenerate, max_residual, residual_scale = _exact_per_node(seq, m)
+        assert report.degenerate_indices == degenerate == ((7, 39) if m > 1 else ())
+        assert all(x == y for x, y in zip(report.rho2_values, filled))
+        assert report.max_residual == max_residual
+        assert report.residual_scale == residual_scale
+
+    def test_first_failing_node_is_named_when_its_values_repeat(self):
+        n = 16
+        lam = Fraction(13, 10)
+        good = [(1 + t) * lam**t for t in range(4)]
+        inconsistent = [1, 2 * lam, 3 * lam**2 * Fraction(1001, 1000), 4 * lam**3]
+        negative = [(1 + t) * Fraction(-1, 2) ** t for t in range(4)]
+        message = r"^power consistency fails at grid index 2: u_2 != u_1\^2$"
+
+        rows = [[v] * n for v in good]
+        for index, values in ((2, inconsistent), (4, negative), (5, inconsistent)):
+            _set_node(rows, index, values)
+        with pytest.raises(NotInModelError, match=message):
+            reconstruct(_exact_rows(rows), 2)
+        with pytest.raises(NotInModelError, match=message):
+            _exact_per_node(_exact_rows(rows), 2)
+
+        rows = [[v] * n for v in good]
+        for index, values in ((3, negative), (5, inconsistent), (6, negative)):
+            _set_node(rows, index, values)
+        with pytest.raises(NotInModelError, match=r"^rho\^2 <= 0 at grid index 3$"):
+            reconstruct(_exact_rows(rows), 2)
