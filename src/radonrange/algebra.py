@@ -263,8 +263,7 @@ def hankel_certificate(data: TangentialData, n: int | None = None) -> HankelCert
         n = data.natural_grid_size
     m = data.m
     exact = data.is_exact
-    p_funcs = [moments.moment(data, 2 * t, n) for t in range(2 * m - 1)]
-    p_arrays = [f.values for f in p_funcs]
+    p_arrays = [f.values for f in moments.even_moments(data, range(0, 4 * m - 3, 2), n)]
     rho_s = data.rho.rho_samples(n)
     q_arrays = [data.density_samples(j, n) for j in range(m)]
     top = q_arrays[m - 1]

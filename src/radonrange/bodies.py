@@ -146,8 +146,3 @@ def load_tangential(path) -> TangentialData:
         doc = json.load(fh)
     return tangential_from_json(doc)
 
-
-def load_body(path) -> SupportFunction:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    return body_from_json(doc)

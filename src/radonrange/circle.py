@@ -78,6 +78,8 @@ def is_exact_scalar(x) -> bool:
 
 def normalize_scalar(x):
     """Coerce to a plain int, Fraction or float."""
+    if type(x) in (float, int, Fraction):  # the common case, without the ABC check
+        return x
     if isinstance(x, (int, Fraction)):
         return x
     if isinstance(x, Rational):  # numpy integers and friends
@@ -306,13 +308,8 @@ class TrigPoly:
         return a * a + b * b
 
 
-def trig_from_samples(values: np.ndarray) -> TrigPoly:
-    """Trigonometric interpolant of samples on the uniform grid.
-
-    For band-limited data (maximal frequency < n/2) this recovers the
-    coefficients exactly up to FFT round-off.  At the Nyquist frequency only
-    the cosine component is observable and it is returned undoubled.
-    """
+def _fourier_coeffs(values) -> tuple:
+    """Float arrays ``(a, b)`` of the trigonometric interpolant of uniform samples."""
     v = np.asarray(values, dtype=float)
     n = len(v)
     if n < 4 or n % 2 != 0:
@@ -325,14 +322,24 @@ def trig_from_samples(values: np.ndarray) -> TrigPoly:
     b[1:] = -2.0 * spectrum[1:].imag / n
     a[n // 2] = spectrum[n // 2].real / n
     b[n // 2] = 0.0
-    return TrigPoly(tuple(a), tuple(b))
+    return a, b
+
+
+def trig_from_samples(values: np.ndarray) -> TrigPoly:
+    """Trigonometric interpolant of samples on the uniform grid.
+
+    For band-limited data (maximal frequency < n/2) this recovers the
+    coefficients exactly up to FFT round-off.  At the Nyquist frequency only
+    the cosine component is observable and it is returned undoubled.
+    """
+    a, b = _fourier_coeffs(values)
+    return TrigPoly(tuple(a.tolist()), tuple(b.tolist()))
 
 
 def fourier_energy(values: np.ndarray) -> np.ndarray:
     """Per-frequency energy a_f^2 + b_f^2 of uniform samples (length n//2 + 1)."""
-    v = np.asarray(values, dtype=float)
-    poly = trig_from_samples(v)
-    return poly.energy()
+    a, b = _fourier_coeffs(values)
+    return a * a + b * b
 
 
 @dataclass(frozen=True, eq=False)

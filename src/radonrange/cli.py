@@ -6,6 +6,8 @@ demo-disk           sweep chord integrals of the disk density over a
                     (theta, p) grid and compare the induced moments
 verify-identities   run the exact-arithmetic identity suite
 range-check         test the moments of a body file for range membership
+                    (rho and the densities are sampled once for all
+                    orders, and moments.csv reuses those moments)
 reconstruct         recover rho^2 from a body file and certify the ellipse
 perturbation-study  sweep perturbation sizes and tabulate the separation
                     between recurrence residuals and membership failure
@@ -31,9 +33,9 @@ from .algebra import hankel_certificate, identity_suite
 from .bodies import load_tangential
 from .circle import theta_grid
 from .errors import DegeneratePointError, NotInModelError, ReconstructionFailedError
-from .moments import moment
+from .moments import even_moments
 from .radon import disk_sinogram, mollified_moment, second_p_derivative_moments
-from .rangetest import range_check
+from .rangetest import membership_battery
 from .reconstruct import reconstruct, synthesize_moments
 
 EXIT_OK = 0
@@ -59,9 +61,18 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _write_csv(path: Path, header, rows) -> None:
+def _column(values) -> list:
+    """CSV text of one column, as :func:`_fmt` gives it value by value."""
+    if isinstance(values, np.ndarray) and values.dtype == float:
+        return [format(x, ".17g") for x in values.tolist()]
+    return [_fmt(x) for x in values]
+
+
+def _write_csv(path: Path, header, blocks) -> None:
+    """Write the rows of each block in turn; a block is a tuple of columns of CSV text."""
     lines = [",".join(header)]
-    lines.extend(",".join(_fmt(x) for x in row) for row in rows)
+    for columns in blocks:
+        lines.extend(map(",".join, zip(*columns)))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -135,17 +146,14 @@ def cmd_demo_disk(args, argv) -> int:
         moment_rows.append((k, exact, int(via_module), mollified, abs(mollified - exact)))
 
     if out is not None:
-        sino_rows = [
-            (float(thetas[i]), float(ps[j]), float(values[i, j]))
-            for i in range(len(thetas))
-            for j in range(len(ps))
-            if not tangent[j]
-        ]
-        _write_csv(out / "sinogram.csv", ("theta", "p", "value"), sino_rows)
+        p_text = _column(ps[~tangent])
+        rows = zip(_column(thetas), values[:, ~tangent])
+        blocks = (([t] * len(p_text), p_text, _column(v)) for t, v in rows)
+        _write_csv(out / "sinogram.csv", ("theta", "p", "value"), blocks)
         _write_csv(
             out / "moment_check.csv",
             ("k", "exact", "distributional", "mollified", "mollified_error"),
-            moment_rows,
+            [[_column(col) for col in zip(*moment_rows)]],
         )
         _write_json(
             out / "summary.json",
@@ -199,7 +207,16 @@ def cmd_range_check(args, argv) -> int:
     data = load_tangential(_body_path(args))
     _check_exact_mode(args, data)
     n = data.rho.grid_size or args.grid
-    reports = range_check(data, args.K, tol=args.tol, n=n)
+    if data.rho.grid_size is not None and n < 8 * args.K + 4:
+        # a sampled rho gives p_{2K} no trig form, so it is tested on its samples
+        raise _UsageError(
+            f"the body's grid of {n} samples is too small for --K {args.K}: "
+            f"degree {2 * args.K} needs >= {8 * args.K + 4}"
+        )
+    # one sampling of rho and the densities serves the battery and moments.csv
+    orders = range(0, 2 * args.K + 1, 2)
+    moments = even_moments(data, orders, n)
+    reports = membership_battery(moments, args.tol)
     all_pass = all(r.verdict for r in reports)
     for r in reports:
         print(
@@ -208,12 +225,9 @@ def cmd_range_check(args, argv) -> int:
         )
     if out is not None:
         _write_json(out / "range_reports.json", [r.to_dict() for r in reports])
-        grid = theta_grid(n)
-        rows = []
-        for k in range(args.K + 1):
-            vals = np.asarray(moment(data, 2 * k, n).values, dtype=float)
-            rows.extend((2 * k, float(grid[i]), float(vals[i])) for i in range(n))
-        _write_csv(out / "moments.csv", ("k", "theta", "value"), rows)
+        thetas = _column(theta_grid(n))
+        blocks = (([str(k)] * n, thetas, _column(p.as_float())) for k, p in zip(orders, moments))
+        _write_csv(out / "moments.csv", ("k", "theta", "value"), blocks)
         _write_meta(out, argv)
     return EXIT_OK if all_pass else EXIT_CHECK_FAILED
 
@@ -234,12 +248,11 @@ def cmd_reconstruct(args, argv) -> int:
         return EXIT_DEGENERATE
     if out is not None:
         _write_json(out / "reconstruction.json", report.to_dict())
-        grid = theta_grid(report.grid_size)
-        rows = [
-            (float(grid[i]), float(v), report.relative_residual)
-            for i, v in zip(report.indices, np.asarray(report.rho2_values, dtype=float))
-        ]
-        _write_csv(out / "rho2.csv", ("theta", "rho2", "relative_residual"), rows)
+        theta = theta_grid(report.grid_size)[np.asarray(report.indices, dtype=np.intp)]
+        rho2 = np.asarray(report.rho2_values, dtype=float)
+        residual = [_fmt(report.relative_residual)] * len(rho2)
+        block = (_column(theta), _column(rho2), residual)
+        _write_csv(out / "rho2.csv", ("theta", "rho2", "relative_residual"), [block])
         _write_meta(out, argv)
     print(f"verdict: {report.verdict}")
     print(f"max recurrence residual: {report.max_residual:.3e} (scale {report.residual_scale:.3e})")
@@ -289,7 +302,7 @@ def cmd_perturbation_study(args, argv) -> int:
         _write_csv(
             out / "perturbation.csv",
             ("eps", "frequency", "forbidden_ratio", "membership", "relative_residual"),
-            rows,
+            [[_column(col) for col in zip(*rows)]],
         )
         _write_meta(out, argv)
     print(f"separation (identities hold, membership fails): {'PASS' if separation_ok else 'FAIL'}")

@@ -123,17 +123,6 @@ class SupportFunction:
             )
         return self.rho2_poly.is_exact
 
-    def constant_rho(self):
-        """The constant value of rho when the body is a disk, else None."""
-        if self.kind == "sampled":
-            first = self.values[0]
-            return first if all(x == first for x in self.values) else None
-        if self.rho_poly is not None and self.rho_poly.degree() == 0:
-            return self.rho_poly.cos_coeffs[0]
-        if self.rho2_poly.degree() == 0:
-            return math.sqrt(float(self.rho2_poly.cos_coeffs[0]))
-        return None
-
     def rho2_at(self, theta: float):
         if self.kind == "sampled":
             v = self.values[grid_index(theta, len(self.values))]

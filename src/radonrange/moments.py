@@ -14,6 +14,12 @@ with the falling factorial c(k, j) = k (k-1) ... (k-j+1).  ``moment``
 implements the closed form; ``moment_oracle`` re-derives the same number
 by brute-force delta calculus, term by term and without the evenness
 shortcut, so the two can be crossed in tests.
+
+``even_moments`` is the one moment kernel: it samples rho and the
+densities once for a whole list of orders and builds each trigonometric
+power rho^s once, and every caller that needs several orders
+(``synthesize_moments``, ``range_check``, ``hankel_certificate`` and the
+``range-check`` command) calls it once.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ import numpy as np
 
 from .circle import CircleFunction, TrigPoly, distinct_nodes, zero_circle_function
 from .errors import InvalidParameterError
-from .geometry import SupportFunction, TangentialData
+from .geometry import TangentialData
 
 #: default maximum half-order: moments p_0 .. p_{2*K} are tabulated
 DEFAULT_MAX_HALF_ORDER = 12
@@ -43,17 +49,6 @@ def falling_factorial(k: int, j: int) -> int:
 def falling_factorial_table(max_half_order: int, m: int) -> list[list[int]]:
     """Rows c(2k, j) for k = 0..max_half_order, j = 0..m-1 (exact integers)."""
     return [[falling_factorial(2 * k, j) for j in range(m)] for k in range(max_half_order + 1)]
-
-
-def _rho_power_poly(rho: SupportFunction, s: int) -> TrigPoly | None:
-    """Exact-form trig polynomial for rho^s when one exists."""
-    if s == 0:
-        return TrigPoly.constant(1)
-    if s % 2 == 0 and rho.rho2_poly is not None:
-        return rho.rho2_poly ** (s // 2)
-    if rho.rho_poly is not None:
-        return rho.rho_poly**s
-    return None
 
 
 def moment(data: TangentialData, k: int, n: int | None = None) -> CircleFunction:
@@ -91,30 +86,38 @@ def even_moments(data: TangentialData, orders, n: int, weight: int = 2) -> list:
     else:
         rho_s = np.asarray(rho_s, dtype=float)
         q_s = [np.asarray(q, dtype=float) for q in q_s]
+    q_polys = [data.density_poly(j) for j in used]
+    rho = data.rho
+
+    def has_power(s: int) -> bool:  # rho^s has a trig form
+        return s == 0 or rho.rho_poly is not None or (s % 2 == 0 and rho.rho2_poly is not None)
+
+    # p_k gets a trig form when every q_j and rho^(k-j), j <= k, has one;
+    # decided before any power is built, so none is built for nothing
+    with_poly = [
+        all(q is not None and has_power(k - j) for j, q in zip(range(k + 1), q_polys))
+        for k in orders
+    ]
+    rho_pows = [TrigPoly.constant(1)]  # rho^s, one multiplication each
+    for s in range(1, max((k for k, ok in zip(orders, with_poly) if ok), default=0) + 1):
+        if s % 2 == 0 and rho.rho2_poly is not None:
+            rho_pows.append(rho_pows[s - 2] * rho.rho2_poly)
+        elif rho.rho_poly is not None:
+            rho_pows.append(rho_pows[s - 1] * rho.rho_poly)
+        else:
+            rho_pows.append(None)
     out = []
-    for k in orders:
+    for k, ok in zip(orders, with_poly):
         total = None
-        poly_terms = []
-        poly_ok = True
+        poly = TrigPoly.zero() if ok else None
         for j, q in zip(range(min(data.m, k + 1)), q_s):
-            c = falling_factorial(k, j)
-            sign = -1 if j % 2 else 1
-            term = (weight * c * sign) * q * rho_s ** (k - j)
+            factor = weight * falling_factorial(k, j) * (-1 if j % 2 else 1)
+            term = factor * q * rho_s ** (k - j)
             total = term if total is None else total + term
-            if poly_ok:
-                q_poly = data.density_poly(j)
-                rho_pow = _rho_power_poly(data.rho, k - j)
-                if q_poly is None or rho_pow is None:
-                    poly_ok = False
-                else:
-                    poly_terms.append((weight * c * sign) * q_poly * rho_pow)
+            if ok:
+                poly = poly + factor * q_polys[j] * rho_pows[k - j]
         if exact:
             total = total[inverse]
-        poly = None
-        if poly_ok:
-            poly = TrigPoly.zero()
-            for t in poly_terms:
-                poly = poly + t
         out.append(CircleFunction(total, poly))
     return out
 

@@ -133,15 +133,6 @@ def second_p_derivative_moments(k: int):
     return int(first) if getattr(first, "denominator", 1) == 1 else first
 
 
-def _bump(u: np.ndarray) -> np.ndarray:
-    """C^2 bump (35/32)(1 - u^2)^3 on [-1, 1], unit mass."""
-    u = np.asarray(u, dtype=float)
-    out = np.zeros_like(u)
-    inside = np.abs(u) < 1.0
-    out[inside] = (35.0 / 32.0) * (1.0 - u[inside] ** 2) ** 3
-    return out
-
-
 def _bump_derivative(u: np.ndarray) -> np.ndarray:
     u = np.asarray(u, dtype=float)
     out = np.zeros_like(u)

@@ -10,7 +10,9 @@ Fourier energy of the samples into allowed and forbidden frequencies.
 
 A tangential distribution is in the Radon transform range precisely when
 every even moment passes this test at the matching degree;
-:func:`range_check` runs that battery through a chosen maximal order.
+:func:`range_check` runs that battery through a chosen maximal order, on
+moments that one :func:`~radonrange.moments.even_moments` call samples
+for all orders at once.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 from .circle import CircleFunction, TrigPoly, fourier_energy
 from .errors import InvalidParameterError
 from .geometry import TangentialData
-from .moments import moment
+from .moments import even_moments
 
 #: default relative-energy tolerance for float inputs; exact inputs require
 #: exact zeros at forbidden frequencies
@@ -90,14 +92,8 @@ def is_homogeneous_restriction(h, degree: int, tol: float = DEFAULT_TOL) -> Memb
         else:
             h = h.samples(max(4 * degree + 4 + (4 * degree + 4) % 2, 2 * h.max_frequency + 2))
 
-    allowed = allowed_frequencies(degree)
     if exact_poly is not None:
         energy = exact_poly.energy()
-        exact_clean = all(
-            exact_poly.cos_coeffs[f] == 0 and exact_poly.sin_coeffs[f] == 0
-            for f in range(exact_poly.max_frequency + 1)
-            if f not in allowed
-        )
     else:
         samples = np.asarray(h, dtype=float)
         if samples.ndim != 1:
@@ -107,23 +103,24 @@ def is_homogeneous_restriction(h, degree: int, tol: float = DEFAULT_TOL) -> Memb
                 f"need at least {4 * degree + 4} samples for degree {degree}, got {len(samples)}"
             )
         energy = fourier_energy(samples)
-        exact_clean = None
-
     freqs = np.arange(len(energy))
-    mask = np.asarray([f in allowed for f in freqs])
+    mask = (freqs <= degree) & (freqs % 2 == degree % 2)  # allowed_frequencies(degree)
     allowed_energy = float(energy[mask].sum())
     forbidden_energy = float(energy[~mask].sum())
     total = allowed_energy + forbidden_energy
-    if exact_clean is not None:
-        verdict = exact_clean
+    if exact_poly is not None:
+        verdict = all(
+            exact_poly.cos_coeffs[f] == 0 and exact_poly.sin_coeffs[f] == 0
+            for f in freqs[~mask].tolist()
+        )
     else:
         verdict = forbidden_energy <= tol * total
-    loud = sorted(
-        ((int(f), float(np.sqrt(energy[f]))) for f in freqs[~mask] if energy[f] > 0.0),
-        key=lambda fe: (-fe[1], fe[0]),
-    )
+    loud = freqs[~mask]
+    loud = loud[energy[loud] > 0.0]
+    mags = np.sqrt(energy[loud])
+    top = np.lexsort((loud, -mags))[:_SPECTRUM_CAP]  # loudest first, ties by frequency
     cutoff = 1e-6 * forbidden_energy
-    spectrum = {f: mag for f, mag in loud[:_SPECTRUM_CAP] if mag * mag >= cutoff}
+    spectrum = {f: g for f, g in zip(loud[top].tolist(), mags[top].tolist()) if g * g >= cutoff}
     return MembershipReport(
         degree=degree,
         tol=tol,
@@ -146,8 +143,11 @@ def range_check(
     range up to order 2*max_half_order"; this is necessarily a truncation
     of the full infinite battery.
     """
-    reports = []
-    for k in range(max_half_order + 1):
-        h = moment(data, 2 * k, n)
-        reports.append(is_homogeneous_restriction(h, 2 * k, tol))
-    return reports
+    if n is None:
+        n = data.natural_grid_size
+    return membership_battery(even_moments(data, range(0, 2 * max_half_order + 1, 2), n), tol)
+
+
+def membership_battery(moments, tol: float = DEFAULT_TOL) -> list[MembershipReport]:
+    """Test the moments p_0, p_2, p_4, ... (in that order) at degrees 0, 2, 4, ..."""
+    return [is_homogeneous_restriction(h, 2 * k, tol) for k, h in enumerate(moments)]

@@ -29,7 +29,13 @@ from radonrange import (
     theta_grid,
 )
 from radonrange import exactla
-from radonrange.algebra import binomial_poly_coeffs, krylov_matrix, recurrence_poly_coeffs
+from radonrange.algebra import (
+    _exact_hankel_checks,
+    _float_hankel_checks,
+    binomial_poly_coeffs,
+    krylov_matrix,
+    recurrence_poly_coeffs,
+)
 from tests.conftest import mirrored, random_exact_data, random_fraction, smooth_densities
 
 
@@ -348,3 +354,36 @@ class TestExactHankelOnDistinctNodes:
                           for t in range(m)]
                 assert cert.determinants[i] == exactla.det(exactla.fraction_matrix(hankel))
             assert cert.structure_ok
+
+
+class TestHankelMomentsFromOneKernelCall:
+    """``hankel_certificate`` takes p_0 .. p_{4m-4} from one ``even_moments``
+    call; it must equal the same checks run on moments computed order by order."""
+
+    @staticmethod
+    def _reference(data, n):
+        m = data.m
+        p_arrays = [moment(data, 2 * t, n).values for t in range(2 * m - 1)]
+        rho_s = data.rho.rho_samples(n)
+        q_arrays = [data.density_samples(j, n) for j in range(m)]
+        checks = _exact_hankel_checks if data.is_exact else _float_hankel_checks
+        return checks(m, p_arrays, rho_s, q_arrays)
+
+    def _bodies(self, rng):
+        for m in (1, 2, 3, 4):
+            tilted = make_ellipse(1.7, 1.0, rng.uniform(0.0, math.pi))
+            yield TangentialData(tilted, smooth_densities(rng, m)), 64
+            yield TangentialData(perturb(tilted, 0.03, 6), smooth_densities(rng, m)), 64
+        yield TangentialData(disk(Fraction(3, 2)), (Fraction(1, 2), Fraction(-1, 3), 2)), 16
+        for m in (1, 2, 3):
+            yield random_exact_data(rng, n=16, m=m), 16
+
+    def test_determinants_and_structure_equal_the_per_order_reference(self, rng):
+        for data, n in self._bodies(rng):
+            cert = hankel_certificate(data, n)
+            determinants, structure_ok = self._reference(data, n)
+            assert cert.structure_ok == structure_ok
+            if data.is_exact:
+                assert cert.determinants == determinants
+            else:
+                assert np.array_equal(cert.determinants, determinants)

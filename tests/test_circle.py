@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from radonrange import CircleFunction, InvalidParameterError, TrigPoly, theta_grid, trig_from_samples
-from radonrange.circle import distinct_nodes, fourier_energy, grid_index
+from radonrange.circle import distinct_nodes, fourier_energy, grid_index, normalize_scalar
 
 
 def test_evaluation_matches_direct_sum():
@@ -113,3 +113,38 @@ def test_distinct_nodes_first_index_in_scan_order():
     assert inverse.tolist() == [0, 1, 0, 2, 1, 3]
     values = np.asarray(rho, dtype=object)
     assert list(values[representatives][inverse]) == rho
+
+
+class TestFourierEnergy:
+    def test_equals_the_interpolant_energy(self):
+        rng = np.random.default_rng(11)
+        for n in (4, 6, 64, 1024):
+            v = rng.standard_normal(n)
+            assert np.array_equal(fourier_energy(v), trig_from_samples(v).energy())
+        v = TrigPoly((1.0, 0.0, -0.5), (0.0, 0.25, 2.0)).samples(32)
+        assert np.array_equal(fourier_energy(v), trig_from_samples(v).energy())
+
+    def test_rejects_odd_or_short_input(self):
+        for v in (np.ones(5), np.ones(2)):
+            with pytest.raises(InvalidParameterError):
+                fourier_energy(v)
+
+
+def test_interpolant_holds_plain_floats():
+    poly = trig_from_samples(np.cos(3 * theta_grid(16)))
+    assert all(type(c) is float for c in poly.cos_coeffs + poly.sin_coeffs)
+
+
+def test_normalize_scalar_keeps_values_and_plain_types():
+    cases = [
+        (1.5, 1.5, float),
+        (np.float64(0.25), 0.25, float),
+        (np.float32(0.5), 0.5, float),
+        (3, 3, int),
+        (np.int64(-4), -4, int),
+        (Fraction(2, 3), Fraction(2, 3), Fraction),
+        (True, True, bool),
+    ]
+    for x, value, kind in cases:
+        got = normalize_scalar(x)
+        assert got == value and type(got) is kind

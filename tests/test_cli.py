@@ -1,9 +1,12 @@
 import json
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from radonrange import moments
-from radonrange.cli import main
+from radonrange import cli, moment, moments, theta_grid
+from radonrange.bodies import load_tangential
+from radonrange.cli import _column, _write_csv, main
 
 
 def _write_body(tmp_path, doc, name="body.json"):
@@ -182,3 +185,96 @@ class TestUsageErrors:
 
     def test_bad_m(self):
         assert main(["verify-identities", "--m", "0"]) == 64
+
+
+def _fmt_reference(x) -> str:
+    """The per-value CSV formatter the column writer must reproduce."""
+    if isinstance(x, float):
+        return format(x, ".17g")
+    if isinstance(x, Fraction):
+        return f"{x.numerator}/{x.denominator}"
+    return str(x)
+
+
+def _csv_reference(header, rows) -> str:
+    lines = [",".join(header)]
+    lines.extend(",".join(_fmt_reference(x) for x in row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+class TestCsvWriter:
+    FLOATS = np.array(
+        [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e300, -1e-300, 1 / 3, 2.0**60, 0.1]
+    )
+
+    def test_columns_match_the_row_wise_reference(self, tmp_path):
+        n = len(self.FLOATS)
+        ints = list(range(-3, n - 3))
+        fracs = [Fraction(i, 7) for i in range(n)]
+        words = ["pass" if i % 2 else "fail" for i in range(n)]
+        mixed = [1, 2.5, Fraction(1, 3), "x", -0.0, np.float64(0.25), np.int64(7), True, 1e-7]
+        mixed += [-2, 3]
+        header = ("f", "i", "q", "s", "mixed")
+        _write_csv(
+            tmp_path / "a.csv",
+            header,
+            [tuple(_column(c) for c in (self.FLOATS, ints, fracs, words, mixed))],
+        )
+        rows = list(zip(self.FLOATS.tolist(), ints, fracs, words, mixed))
+        assert (tmp_path / "a.csv").read_text(encoding="utf-8") == _csv_reference(header, rows)
+
+    def test_blocks_concatenate_in_order(self, tmp_path):
+        theta = _column(self.FLOATS[:4])
+        blocks = (([str(k)] * 4, theta, _column(self.FLOATS[4:8] * k)) for k in (0, 2, 4))
+        _write_csv(tmp_path / "b.csv", ("k", "theta", "value"), blocks)
+        rows = [
+            (k, t, v)
+            for k in (0, 2, 4)
+            for t, v in zip(self.FLOATS[:4].tolist(), (self.FLOATS[4:8] * k).tolist())
+        ]
+        assert (tmp_path / "b.csv").read_text() == _csv_reference(("k", "theta", "value"), rows)
+
+    def test_empty_block_writes_the_header_only(self, tmp_path):
+        _write_csv(tmp_path / "c.csv", ("a", "b"), [([], [])])
+        assert (tmp_path / "c.csv").read_text() == "a,b\n"
+
+
+class TestRangeCheckOutputs:
+    @pytest.mark.parametrize(
+        "doc, grid",
+        [
+            (ELLIPSE, 128),
+            ({**PERTURBED, "densities": [1, {"cos": [0.5, 0, 0.1], "sin": [0, 0, 0.05]}]}, 128),
+            ({"kind": "ellipse", "a": "3/2", "b": "3/2", "densities": ["1/3", "2/5"]}, 64),
+        ],
+    )
+    def test_moments_csv_equals_the_per_order_rows(self, tmp_path, doc, grid):
+        body = _write_body(tmp_path, doc)
+        out = tmp_path / "o"
+        main(["range-check", "--body", body, "--K", "6", "--grid", str(grid), "--out", str(out)])
+        data = load_tangential(body)
+        thetas = theta_grid(grid)
+        rows = []
+        for k in range(7):
+            vals = np.asarray(moment(data, 2 * k, grid).values, dtype=float)
+            rows.extend((2 * k, float(thetas[i]), float(vals[i])) for i in range(grid))
+        expected = _csv_reference(("k", "theta", "value"), rows)
+        assert (out / "moments.csv").read_text(encoding="utf-8") == expected
+
+    def test_pinned_grid_too_small_fails_before_any_moment(self, tmp_path, monkeypatch, capsys):
+        values = ["1", "3/2", "2", "5/2", "2", "3/2"] * 2  # 12 nodes, period pi
+        body = _write_body(tmp_path, {"kind": "sampled", "values": values})
+
+        def no_moments(*args, **kwargs):
+            raise AssertionError("moments computed before the grid was checked")
+
+        monkeypatch.setattr(cli, "even_moments", no_moments)
+        assert main(["range-check", "--body", body, "--K", "12"]) == 64
+        err = capsys.readouterr().err
+        assert "grid of 12 samples" in err and "--K 12" in err
+
+    def test_pinned_grid_large_enough_still_runs(self, tmp_path):
+        values = ["1", "3/2", "2", "5/2", "3", "5/2", "2", "3/2", "1", "1"] * 2  # 20 nodes
+        body = _write_body(tmp_path, {"kind": "sampled", "values": values})
+        assert main(["range-check", "--body", body, "--K", "2"]) == 1  # degree 4 = 8K + 4 samples
+        assert main(["range-check", "--body", body, "--K", "3"]) == 64

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from radonrange import (
+    SupportFunction,
     TangentialData,
     TrigPoly,
     disk,
@@ -17,6 +18,7 @@ from radonrange import (
     moment,
     moment_oracle,
 )
+from radonrange.moments import even_moments
 from tests.conftest import mirrored, random_exact_data
 
 
@@ -128,3 +130,85 @@ def test_moment_is_linear_in_the_densities(a, b, k):
 def test_moment_grid_defaults_to_natural_size():
     data = TangentialData(disk(1), (mirrored([Fraction(1), Fraction(2)]),))
     assert moment(data, 2).n == 4
+
+
+def _reference_poly(data, k, weight=2):
+    """p_k's trig form term by term, every power of rho from ``TrigPoly.__pow__``."""
+    rho = data.rho
+    poly = TrigPoly.zero()
+    for j in range(min(data.m, k + 1)):
+        s = k - j
+        if s == 0:
+            rho_pow = TrigPoly.constant(1)
+        elif s % 2 == 0 and rho.rho2_poly is not None:
+            rho_pow = rho.rho2_poly ** (s // 2)
+        elif rho.rho_poly is not None:
+            rho_pow = rho.rho_poly**s
+        else:
+            return None
+        q_poly = data.density_poly(j)
+        if q_poly is None:
+            return None
+        poly = poly + (weight * falling_factorial(k, j) * (-1) ** j) * q_poly * rho_pow
+    return poly
+
+
+class TestEvenMomentPolys:
+    """``even_moments`` builds each power of rho once; its trig forms must
+    equal the ones built power by power, and be absent exactly when an odd
+    power of rho has no trig form."""
+
+    ORDERS = list(range(0, 17, 2))
+
+    def _bodies(self):
+        q2 = TrigPoly.from_terms(
+            cos={0: Fraction(3, 2), 2: Fraction(1, 5)}, sin={2: Fraction(-1, 7)}
+        )
+        trig = SupportFunction.from_rho2_poly(
+            TrigPoly.from_terms(cos={0: Fraction(5, 2), 2: Fraction(1, 2)}, sin={2: Fraction(1, 3)})
+        )
+        return {
+            "disk m=1": TangentialData(disk(Fraction(3, 2)), (Fraction(2, 3),)),
+            "disk m=3": TangentialData(disk(2), (1, Fraction(-1, 2), q2)),
+            "trig m=1": TangentialData(trig, (q2,)),
+            "trig m=2": TangentialData(trig, (1, q2)),
+            "trig m=3": TangentialData(trig, (q2, 0, Fraction(1, 4))),
+        }
+
+    @pytest.mark.parametrize("weight", [1, 2])
+    def test_polys_equal_the_power_by_power_reference(self, weight):
+        for name, data in self._bodies().items():
+            got = even_moments(data, self.ORDERS, 16, weight=weight)
+            for k, p in zip(self.ORDERS, got):
+                ref = _reference_poly(data, k, weight)
+                assert (p.poly is None) == (ref is None), (name, k)
+                if ref is not None:
+                    assert p.poly == ref, (name, k)
+                    assert p.poly.is_exact
+
+    def test_poly_absent_exactly_when_an_odd_power_has_no_form(self):
+        bodies = self._bodies()
+        for name in ("trig m=2", "trig m=3"):
+            got = even_moments(bodies[name], self.ORDERS, 16)
+            assert got[0].poly is not None  # p_0 needs rho^0 only
+            assert all(p.poly is None for p in got[1:]), name
+        for name in ("disk m=1", "disk m=3", "trig m=1"):
+            assert all(p.poly is not None for p in even_moments(bodies[name], self.ORDERS, 16))
+
+    def test_sampled_rho_has_a_form_only_at_order_zero(self):
+        rho = SupportFunction.from_samples(mirrored([Fraction(1), Fraction(2)]))
+        data = TangentialData(rho, (3,))
+        got = even_moments(data, [0, 2, 4], 4)
+        assert got[0].poly == TrigPoly.constant(6)
+        assert got[1].poly is None and got[2].poly is None
+
+    def test_values_equal_moment_per_order(self, rng):
+        bodies = [*self._bodies().values(), random_exact_data(rng, n=8, m=3)]
+        bodies.append(TangentialData(make_ellipse(2, 1, 0.4), (1.0, TrigPoly.constant(0.5))))
+        for data in bodies:
+            n = data.natural_grid_size if data.rho.grid_size else 32
+            got = even_moments(data, self.ORDERS, n)
+            for k, p in zip(self.ORDERS, got):
+                ref = moment(data, k, n)
+                assert p.values.dtype == ref.values.dtype
+                assert all(x == y for x, y in zip(p.values, ref.values))

@@ -6,16 +6,20 @@ import pytest
 
 from radonrange import (
     InvalidParameterError,
+    SupportFunction,
     TangentialData,
     TrigPoly,
     disk,
     is_homogeneous_restriction,
     make_ellipse,
+    moment,
     perturb,
     range_check,
     theta_grid,
 )
+from radonrange.circle import fourier_energy
 from radonrange.rangetest import allowed_frequencies
+from tests.conftest import random_exact_data
 
 
 def _sample_homogeneous(rng, degree, n):
@@ -116,3 +120,78 @@ class TestRangeCheck:
         assert payload["verdict"] == "pass"
         assert payload["degree"] == 2
         assert isinstance(payload["residual_spectrum"], dict)
+
+
+def _reference_spectrum(energy, degree, forbidden_energy):
+    """The loudest forbidden frequencies, by a Python sort on (-magnitude, f)."""
+    allowed = allowed_frequencies(degree)
+    loud = sorted(
+        (
+            (f, float(np.sqrt(energy[f])))
+            for f in range(len(energy))
+            if f not in allowed and energy[f] > 0.0
+        ),
+        key=lambda fe: (-fe[1], fe[0]),
+    )
+    cutoff = 1e-6 * forbidden_energy
+    return [(f, mag) for f, mag in loud[:16] if mag * mag >= cutoff]
+
+
+class TestResidualSpectrum:
+    def test_random_samples_match_the_sorted_reference(self):
+        rng = np.random.default_rng(3)
+        for degree in (0, 3, 8, 20):
+            samples = rng.standard_normal(128)
+            report = is_homogeneous_restriction(samples, degree)
+            ref = _reference_spectrum(fourier_energy(samples), degree, report.forbidden_energy)
+            assert list(report.residual_spectrum.items()) == ref
+            assert len(ref) == 16  # the cap binds
+
+    def test_equal_magnitudes_order_by_frequency(self):
+        h = TrigPoly.from_terms(
+            cos={0: 1, 1: 1, 3: Fraction(3, 5), 5: 1, 7: Fraction(1, 10**4)},
+            sin={3: Fraction(4, 5), 9: -1},
+        )
+        report = is_homogeneous_restriction(h, 2)
+        assert list(report.residual_spectrum) == [1, 3, 5, 9]  # 7 is below the cutoff
+        ref = _reference_spectrum(h.energy(), 2, report.forbidden_energy)
+        assert list(report.residual_spectrum.items()) == ref
+        assert not report.verdict
+
+
+class TestRangeCheckMatchesPerOrderLoop:
+    """``range_check`` samples rho once for all orders; its reports must equal
+    a loop that computes each moment on its own."""
+
+    @staticmethod
+    def _reference(data, max_half_order, tol, n):
+        return [
+            is_homogeneous_restriction(moment(data, 2 * k, n), 2 * k, tol)
+            for k in range(max_half_order + 1)
+        ]
+
+    def _bodies(self):
+        q1 = TrigPoly.from_terms(cos={0: 0.8, 2: 0.1}, sin={2: -0.05})
+        exact_trig = SupportFunction.from_rho2_poly(
+            TrigPoly.from_terms(cos={0: Fraction(5, 2), 2: Fraction(1, 2)}, sin={2: Fraction(1, 3)})
+        )
+        perturbed = perturb(make_ellipse(2, 1, 0.3), 0.05, 6)
+        exact_disk = disk(Fraction(3, 2))
+        return [
+            ("float tilted ellipse", TangentialData(make_ellipse(2.5, 1.0, 0.7), (1.0, q1)), 128),
+            ("perturbed ellipse", TangentialData(perturbed, (1,)), 128),
+            ("exact disk", TangentialData(exact_disk, (Fraction(1, 3), Fraction(2, 5))), 64),
+            ("exact trig body", TangentialData(exact_trig, (Fraction(2, 3),)), 64),
+            ("exact sampled body", random_exact_data(random.Random(5), n=32, m=3), 32),
+        ]
+
+    @pytest.mark.parametrize("tol", [1e-8, 1e-3])
+    def test_reports_equal_the_per_order_reference(self, tol):
+        for name, data, n in self._bodies():
+            max_half_order = (n - 4) // 8  # degree 2K needs 8K + 4 samples
+            got = range_check(data, max_half_order, tol, n)
+            assert got == self._reference(data, max_half_order, tol, n), name
+
+    def test_default_grid_is_the_natural_one(self):
+        data = random_exact_data(random.Random(6), n=32, m=2)
+        assert range_check(data, 3) == self._reference(data, 3, 1e-8, 32)
