@@ -16,9 +16,8 @@ written as "p/q" strings everywhere.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
-
-import numpy as np
 
 from .circle import TrigPoly
 from .errors import InvalidParameterError
@@ -26,9 +25,11 @@ from .geometry import SupportFunction, TangentialData, make_ellipse, perturb
 
 
 def scalar_from_json(value):
-    """JSON number -> int/float; "p/q" string -> Fraction."""
+    """Finite JSON number -> int/float; "p/q" string -> Fraction."""
     if isinstance(value, bool):
         raise InvalidParameterError("booleans are not scalars")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise InvalidParameterError(f"scalar {value!r} is not finite")
     if isinstance(value, (int, float)):
         return value
     if isinstance(value, str):
@@ -106,7 +107,7 @@ def body_to_json(body: SupportFunction) -> dict:
 
 def _density_from_json(value):
     if isinstance(value, list):
-        return np.asarray([scalar_from_json(v) for v in value], dtype=object)
+        return [scalar_from_json(v) for v in value]
     return trigpoly_from_json(value)
 
 
@@ -126,19 +127,7 @@ def tangential_from_json(doc: dict) -> TangentialData:
         raise InvalidParameterError(
             f"m={doc['m']} does not match the {len(densities)} given densities"
         )
-    qs = []
-    for q in densities:
-        q = _density_from_json(q)
-        if isinstance(q, np.ndarray):
-            vals = [v for v in q]
-            exact = all(not isinstance(v, float) for v in vals)
-            arr = np.empty(len(vals), dtype=object) if exact else np.asarray(vals, dtype=float)
-            if exact:
-                arr[:] = vals
-            qs.append(arr)
-        else:
-            qs.append(q)
-    return TangentialData(body, tuple(qs))
+    return TangentialData(body, tuple(_density_from_json(q) for q in densities))
 
 
 def load_tangential(path) -> TangentialData:

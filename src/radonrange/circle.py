@@ -399,6 +399,4 @@ class CircleFunction:
 
 def zero_circle_function(n: int, exact: bool) -> CircleFunction:
     values = np.zeros(n, dtype=object) if exact else np.zeros(n)
-    if exact:
-        values[:] = 0
     return CircleFunction(values, TrigPoly.zero())

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -370,6 +371,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()
+
 _COMMANDS = {
     "demo-disk": cmd_demo_disk,
     "verify-identities": cmd_verify_identities,
@@ -381,13 +384,14 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
         if getattr(args, "m", None) is not None and args.m < 1:
             raise _UsageError("--m must be >= 1")
-        if getattr(args, "tol", 1.0) <= 0:
-            raise _UsageError("--tol must be positive")
+        if not 0 < getattr(args, "tol", 1.0) < math.inf:
+            raise _UsageError("--tol must be positive and finite")
+        if not all(map(math.isfinite, getattr(args, "eps", None) or ())):
+            raise _UsageError("--eps must be finite")
         if getattr(args, "K", 1) < 1:
             raise _UsageError("--K must be >= 1")
         return _COMMANDS[args.command](args, argv)

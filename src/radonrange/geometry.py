@@ -58,6 +58,18 @@ def _exact_samples(values) -> np.ndarray | None:
     return None
 
 
+def _is_exact_constant(poly: TrigPoly | None) -> bool:
+    """Whether ``poly`` is an exact constant, so its grid values are exact."""
+    return poly is not None and poly.is_exact and poly.degree() == 0
+
+
+def _constant_samples(value, n: int) -> np.ndarray:
+    """Object array holding the exact ``value`` at each of ``n`` grid nodes."""
+    out = np.empty(n, dtype=object)
+    out[:] = value
+    return out
+
+
 def _exact_sqrt(c):
     """Exact square root of a nonnegative rational, or None."""
     frac = Fraction(c)
@@ -127,7 +139,7 @@ class SupportFunction:
         if self.kind == "sampled":
             v = self.values[grid_index(theta, len(self.values))]
             return v * v
-        if self.rho2_poly.is_exact and self.rho2_poly.degree() == 0:
+        if _is_exact_constant(self.rho2_poly):
             return self.rho2_poly.cos_coeffs[0]
         return self.rho2_poly(theta)
 
@@ -146,10 +158,8 @@ class SupportFunction:
                     f"sampled support function is pinned to n={len(self.values)}"
                 )
             return self.values
-        if self.rho_poly is not None and self.rho_poly.degree() == 0 and self.rho_poly.is_exact:
-            out = np.empty(n, dtype=object)
-            out[:] = self.rho_poly.cos_coeffs[0]
-            return out
+        if _is_exact_constant(self.rho_poly):
+            return _constant_samples(self.rho_poly.cos_coeffs[0], n)
         return np.sqrt(self.rho2_samples(n).astype(float))
 
     def rho2_samples(self, n: int = DEFAULT_GRID_SIZE) -> np.ndarray:
@@ -160,10 +170,8 @@ class SupportFunction:
                 )
             return self.values * self.values
         poly = self.rho2_poly
-        if poly.is_exact and poly.degree() == 0:
-            out = np.empty(n, dtype=object)
-            out[:] = poly.cos_coeffs[0]
-            return out
+        if _is_exact_constant(poly):
+            return _constant_samples(poly.cos_coeffs[0], n)
         return poly.samples(n)
 
     # -- constructors ----------------------------------------------------
@@ -371,28 +379,17 @@ class TangentialData:
         if self.rho.kind == "sampled":
             rho_ok = self.rho.values.dtype == object
         else:
-            rho_ok = (
-                self.rho.rho_poly is not None
-                and self.rho.rho_poly.is_exact
-                and self.rho.rho_poly.degree() == 0
-            )
-        if not rho_ok:
-            return False
-        for q in self.densities:
-            if isinstance(q, TrigPoly):
-                if not (q.is_exact and q.degree() == 0):
-                    return False
-            elif q.dtype != object:
-                return False
-        return True
+            rho_ok = _is_exact_constant(self.rho.rho_poly)
+        return rho_ok and all(
+            _is_exact_constant(q) if isinstance(q, TrigPoly) else q.dtype == object
+            for q in self.densities
+        )
 
     def density_samples(self, j: int, n: int) -> np.ndarray:
         q = self.densities[j]
         if isinstance(q, TrigPoly):
-            if q.is_exact and q.degree() == 0:
-                out = np.empty(n, dtype=object)
-                out[:] = q.cos_coeffs[0]
-                return out
+            if _is_exact_constant(q):
+                return _constant_samples(q.cos_coeffs[0], n)
             return q.samples(n)
         if len(q) != n:
             raise InvalidParameterError(f"density q_{j} is pinned to n={len(q)}")
@@ -406,12 +403,9 @@ class TangentialData:
         """(rho, [q_0 .. q_{m-1}]) at an angle (grid node for sampled parts)."""
         rho_val = self.rho.rho_at(theta)
         out = []
-        for j, q in enumerate(self.densities):
+        for q in self.densities:
             if isinstance(q, TrigPoly):
-                if q.is_exact and q.degree() == 0:
-                    out.append(q.cos_coeffs[0])
-                else:
-                    out.append(q(theta))
+                out.append(q.cos_coeffs[0] if _is_exact_constant(q) else q(theta))
             else:
                 out.append(q[grid_index(theta, len(q))])
         return rho_val, out

@@ -15,13 +15,15 @@ an ellipse.  A window restricts the solve to an arc of directions; the
 global membership test is then explicitly not locally testable and is
 skipped.
 
-In float arithmetic the solve is grid-batched: the systems of all nodes
-are stacked into one (N, m, m) array that is conditioned, solved and
-checked at once, and a single node is a stack of one.  The exact
-(rational) solve, its recurrence residuals and the exact Hankel
-certificate run once per distinct node through :mod:`radonrange.exactla`:
-nodes that hold identical exact values share one computation, whose result
-is gathered back over the grid.
+One solve kernel serves both arithmetics and a single node is a grid of
+one.  In float arithmetic the systems of all nodes are stacked into one
+(N, m, m) array that is conditioned and solved at once; in exact
+(rational) arithmetic the system is solved once per distinct node through
+:mod:`radonrange.exactla`.  The consistency and positivity checks are
+shared, with exact moments held to exact equality.  The exact recurrence
+residuals and the exact Hankel certificate also run once per distinct
+node: nodes that hold identical exact values share one computation, whose
+result is gathered back over the grid.
 """
 
 from __future__ import annotations
@@ -148,33 +150,53 @@ def _int_power(values: np.ndarray, e: int) -> np.ndarray:
     return np.array([v**e for v in values.tolist()], dtype=values.dtype)
 
 
-def _solve_float(
+def _solve_nodes(
     moment_seq: MomentSequence, m: int, indices: np.ndarray, consistency_tol: float
 ):
-    """rho^2 at the float grid nodes ``indices``, solved as one stacked system.
+    """rho^2 at the grid nodes ``indices``, in the moments' arithmetic.
 
-    Returns ``(rho2, degenerate)``: a float array and a mask of the nodes
+    Returns ``(rho2, degenerate)``: the solved rho^2 and a mask of the nodes
     whose system is singular (their rho^2 entries are meaningless).  Raises
     :class:`NotInModelError` for the first non-degenerate node, in the order
-    of ``indices``, whose powers are inconsistent or whose rho^2 is
-    nonpositive.
+    of ``indices``, whose powers are inconsistent (u_i != u_1^i beyond
+    ``consistency_tol``; exact moments must match exactly) or whose rho^2
+    is nonpositive.
     """
-    a, b = _power_system(moment_seq, m, indices)
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    u = np.zeros((len(indices), m))
-    if m == 1:
-        # the 1x1 pivot is p_0; judge smallness against p_0 across the grid
-        pivot_scale = float(np.max(np.abs(np.asarray(moment_seq.values(0), dtype=float))))
-        degenerate = np.abs(a[:, 0, 0]) <= 1e-12 * max(pivot_scale, 1e-300)
-        ok = ~degenerate
-        u[ok] = b[ok] / a[ok, 0]
+    if moment_seq.is_exact:
+        # the system at a node is a function of p_0..p_{2m-1} there: solve it
+        # at the first node of each distinct tuple, in scan order, so the
+        # first failing node is still the one an error names
+        representatives, inverse = distinct_nodes(
+            [moment_seq.values(t)[indices] for t in range(2 * m)]
+        )
+        indices = indices[representatives]
+        a, b = _power_system(moment_seq, m, indices)
+        u = np.zeros((len(indices), m), dtype=object)
+        degenerate = np.zeros(len(indices), dtype=bool)
+        for pos in range(len(indices)):
+            try:
+                u[pos] = exactla.solve(a[pos], b[pos])
+            except SingularMatrixError:
+                degenerate[pos] = True
+        consistency_tol = 0
     else:
-        degenerate = ~np.all(np.isfinite(a), axis=(1, 2))
-        finite = np.nonzero(~degenerate)[0]
-        degenerate[finite] = np.linalg.cond(a[finite]) > 1e13
-        ok = ~degenerate
-        u[ok] = np.linalg.solve(a[ok], b[ok, :, None])[..., 0]
+        inverse = np.arange(len(indices))
+        a, b = _power_system(moment_seq, m, indices)
+        a = np.asarray(a, dtype=float)
+        b = np.asarray(b, dtype=float)
+        u = np.zeros((len(indices), m))
+        if m == 1:
+            # the 1x1 pivot is p_0; judge smallness against p_0 across the grid
+            pivot_scale = float(np.max(np.abs(np.asarray(moment_seq.values(0), dtype=float))))
+            degenerate = np.abs(a[:, 0, 0]) <= 1e-12 * max(pivot_scale, 1e-300)
+            ok = ~degenerate
+            u[ok] = b[ok] / a[ok, 0]
+        else:
+            degenerate = ~np.all(np.isfinite(a), axis=(1, 2))
+            finite = np.nonzero(~degenerate)[0]
+            degenerate[finite] = np.linalg.cond(a[finite]) > 1e13
+            ok = ~degenerate
+            u[ok] = np.linalg.solve(a[ok], b[ok, :, None])[..., 0]
     u1 = u[:, 0].copy()
     # smallest power i whose consistency u_i = u_1^i fails at each node (0: none)
     failed_power = np.zeros(len(indices), dtype=int)
@@ -182,7 +204,7 @@ def _solve_float(
         target = _int_power(u1, i)
         scale = np.maximum(np.maximum(np.abs(u[:, i - 1]), np.abs(target)), 1e-30)
         failed_power[np.abs(u[:, i - 1] - target) > consistency_tol * scale] = i
-    bad = ok & ((failed_power > 0) | (u1 <= 0))
+    bad = ~degenerate & ((failed_power > 0) | (u1 <= 0))
     if bad.any():
         pos = int(np.argmax(bad))
         index, i = int(indices[pos]), int(failed_power[pos])
@@ -191,32 +213,17 @@ def _solve_float(
                 f"power consistency fails at grid index {index}: u_{i} != u_1^{i}"
             )
         raise NotInModelError(f"rho^2 <= 0 at grid index {index}")
-    return u1, degenerate
+    return u1[inverse], degenerate[inverse]
 
 
 def _solve_at_index(
     moment_seq: MomentSequence, m: int, index: int, consistency_tol: float = 1e-8
 ):
     """rho^2 at one grid node; raises DegeneratePointError / NotInModelError."""
-    if not moment_seq.is_exact:
-        rho2, degenerate = _solve_float(moment_seq, m, np.array([index]), consistency_tol)
-        if degenerate[0]:
-            raise DegeneratePointError(f"singular system at grid index {index}")
-        return float(rho2[0])
-    a, b = _power_system(moment_seq, m, np.array([index]))
-    try:
-        u = exactla.solve(a[0], b[0])
-    except SingularMatrixError as exc:
-        raise DegeneratePointError(f"singular system at grid index {index}") from exc
-    u1 = u[0]
-    for i in range(2, m + 1):
-        if u[i - 1] != u1**i:
-            raise NotInModelError(
-                f"power consistency fails at grid index {index}: u_{i} != u_1^{i}"
-            )
-    if u1 <= 0:
-        raise NotInModelError(f"rho^2 <= 0 at grid index {index}")
-    return u1
+    rho2, degenerate = _solve_nodes(moment_seq, m, np.array([index]), consistency_tol)
+    if degenerate[0]:
+        raise DegeneratePointError(f"singular system at grid index {index}")
+    return rho2.tolist()[0]
 
 
 def solve_rho2(
@@ -356,26 +363,8 @@ def reconstruct(
     else:
         selected = np.arange(n)
 
-    exact = moment_seq.is_exact
-    if exact:
-        # the system at a node is a function of p_0..p_{2m-1} there: solve it
-        # at the first node of each distinct tuple, in scan order, so the
-        # first failing node is still the one an error names
-        representatives, inverse = distinct_nodes(
-            [moment_seq.values(t)[selected] for t in range(2 * m)]
-        )
-        rho2 = np.empty(len(representatives), dtype=object)
-        solved = np.zeros(len(representatives), dtype=bool)
-        for pos, i in enumerate(selected[representatives]):
-            try:
-                rho2[pos] = _solve_at_index(moment_seq, m, int(i), consistency_tol)
-                solved[pos] = True
-            except DegeneratePointError:
-                pass
-        rho2, solved = rho2[inverse], solved[inverse]
-    else:
-        rho2, degenerate_mask = _solve_float(moment_seq, m, selected, consistency_tol)
-        solved = ~degenerate_mask
+    rho2, degenerate_mask = _solve_nodes(moment_seq, m, selected, consistency_tol)
+    solved = ~degenerate_mask
     degenerate = [int(i) for i in selected[~solved]]
     notes = []
     if len(degenerate) > max_degenerate_fraction * len(selected):
@@ -393,7 +382,7 @@ def reconstruct(
     # maxima are taken over the distinct tuples only
     p = [moment_seq.values(t)[selected] for t in range(moment_seq.max_half_order + 1)]
     node_rho2 = rho2
-    if exact:
+    if moment_seq.is_exact:
         representatives, _ = distinct_nodes([rho2, *p])
         node_rho2 = rho2[representatives]
         p = [col[representatives] for col in p]

@@ -186,6 +186,28 @@ class TestUsageErrors:
     def test_bad_m(self):
         assert main(["verify-identities", "--m", "0"]) == 64
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_tolerance(self, value, capsys):
+        assert main(["demo-disk", "--tol", value]) == 64
+        assert "--tol must be positive and finite" in capsys.readouterr().err
+
+    def test_nan_tolerance_on_reconstruct(self, tmp_path, capsys):
+        body = _write_body(tmp_path, {"kind": "ellipse", "a": 2, "b": 1, "tilt": 0.3})
+        assert main(["reconstruct", "--body", body, "--tol", "nan"]) == 64
+        assert "--tol must be positive and finite" in capsys.readouterr().err
+
+    def test_nan_eps(self, capsys):
+        assert main(["perturbation-study", "--grid", "64", "--eps", "0.05", "nan"]) == 64
+        assert "--eps must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "densities", [[float("nan")], [float("inf")], [[1.0, float("-inf")] * 4]]
+    )
+    def test_non_finite_body_scalar(self, tmp_path, densities, capsys):
+        body = _write_body(tmp_path, {**ELLIPSE, "densities": densities})
+        assert main(["range-check", "--body", body]) == 64
+        assert "is not finite" in capsys.readouterr().err
+
 
 def _fmt_reference(x) -> str:
     """The per-value CSV formatter the column writer must reproduce."""

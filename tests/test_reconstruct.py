@@ -24,6 +24,8 @@ from radonrange import (
     synthesize_moments,
     theta_grid,
 )
+from radonrange import exactla
+from radonrange.errors import SingularMatrixError
 from radonrange.reconstruct import _solve_at_index
 from tests.conftest import mirrored, random_ellipse, smooth_densities
 
@@ -69,6 +71,15 @@ class TestSynthesizeMoments:
             synthesize_moments(data, 6)  # needs >= 3m - 2 = 7
 
 
+def _constant_moments(values, scalar):
+    """External moments p_{2k} = values[k] at each of 8 nodes, as ``scalar``s."""
+    dtype = object if scalar is Fraction else float
+    return MomentSequence(
+        tuple(CircleFunction(np.full(8, scalar(v), dtype=dtype)) for v in values),
+        source="external",
+    )
+
+
 class TestSolveRho2:
     def test_m1_ellipse_at_origin_angle(self):
         data = TangentialData(make_ellipse(2, 1, 0), (1,))
@@ -82,26 +93,35 @@ class TestSolveRho2:
         for theta in thetas[:5]:
             assert solve_rho2(seq, 2, float(theta)) == 1  # exact path
 
-    def test_zero_moments_are_degenerate(self):
-        zeros = np.zeros(8)
-        seq = MomentSequence(
-            tuple(CircleFunction(zeros.copy()) for _ in range(4)), source="external"
-        )
-        with pytest.raises(DegeneratePointError):
+    @pytest.mark.parametrize("scalar", [float, Fraction])
+    def test_zero_moments_are_degenerate(self, scalar):
+        seq = _constant_moments([0, 0, 0, 0], scalar)
+        with pytest.raises(DegeneratePointError, match=r"^singular system at grid index 0$"):
             solve_rho2(seq, 1, 0.0)
 
-    def test_negative_rho2_not_in_model(self):
-        entries = [np.full(8, 1.0), np.full(8, -1.0)]
-        seq = MomentSequence(tuple(CircleFunction(e) for e in entries), source="external")
-        with pytest.raises(NotInModelError):
+    @pytest.mark.parametrize("scalar", [float, Fraction])
+    def test_negative_rho2_not_in_model(self, scalar):
+        seq = _constant_moments([1, -1], scalar)
+        with pytest.raises(NotInModelError, match=r"^rho\^2 <= 0 at grid index 0$"):
             solve_rho2(seq, 1, 0.0)
 
-    def test_inconsistent_powers_not_in_model(self):
-        # p = (1, 1, 5, 1): u_1 = ..., u_2 inconsistent for m = 2
-        entries = [np.full(8, v) for v in (1.0, 1.0, 5.0, 1.0)]
-        seq = MomentSequence(tuple(CircleFunction(e) for e in entries), source="external")
-        with pytest.raises((NotInModelError, DegeneratePointError)):
+    @pytest.mark.parametrize("scalar", [float, Fraction])
+    def test_inconsistent_powers_not_in_model(self, scalar):
+        # p = (1, 1, 5, 1), m = 2: u_1 = -1/2 and u_2 = -6 != u_1^2
+        seq = _constant_moments([1, 1, 5, 1], scalar)
+        message = r"^power consistency fails at grid index 0: u_2 != u_1\^2$"
+        with pytest.raises(NotInModelError, match=message):
             solve_rho2(seq, 2, 0.0)
+
+    def test_exact_consistency_is_equality(self):
+        # a double root 13/10 with p_4 off by a relative 1e-12: inside the
+        # float tolerance, but exact moments must match exactly
+        lam = Fraction(13, 10)
+        values = [1, 2 * lam, 3 * lam**2 * (1 + Fraction(1, 10**12)), 4 * lam**3]
+        assert solve_rho2(_constant_moments(values, float), 2, 0.0) == pytest.approx(1.3)
+        message = r"^power consistency fails at grid index 0: u_2 != u_1\^2$"
+        with pytest.raises(NotInModelError, match=message):
+            solve_rho2(_constant_moments(values, Fraction), 2, 0.0)
 
     def test_exact_mode_returns_fractions(self):
         data = TangentialData(disk(Fraction(3, 2)), (1,))
@@ -236,16 +256,22 @@ class TestMomentSequenceValidation:
 # ---------------------------------------------------------------------------
 
 
-def _reference_node(seq, m, index, consistency_tol=1e-8):
-    """Float rho^2 at one node as a per-node loop computes it; the raised
-    exception class and message are part of the reference."""
+def _reference_system(seq, m, index, dtype):
+    """The pointwise power system (a, b) in u_1..u_m at one node."""
     p = [seq.values(t)[index] for t in range(2 * m)]
     a = np.asarray(
         [[(-1) ** (m - i) * math.comb(m, i) * p[r + m - i] for i in range(1, m + 1)]
          for r in range(m)],
-        dtype=float,
+        dtype=dtype,
     )
-    b = np.asarray([(-1) ** (m + 1) * p[r + m] for r in range(m)], dtype=float)
+    b = np.asarray([(-1) ** (m + 1) * p[r + m] for r in range(m)], dtype=dtype)
+    return a, b
+
+
+def _reference_node(seq, m, index, consistency_tol=1e-8):
+    """Float rho^2 at one node as a per-node loop computes it; the raised
+    exception class and message are part of the reference."""
+    a, b = _reference_system(seq, m, index, float)
     if m == 1:
         pivot_scale = float(np.max(np.abs(np.asarray(seq.values(0), dtype=float))))
         if abs(a[0, 0]) <= 1e-12 * max(pivot_scale, 1e-300):
@@ -400,16 +426,35 @@ class TestBatchedFloatSolve:
 # ---------------------------------------------------------------------------
 
 
-def _exact_per_node(seq, m):
+def _exact_reference_node(seq, m, index):
+    """Exact rho^2 at one node: ``exactla.solve`` on the power system, then
+    the powers compared with ``!=``; the raised exception class and message
+    are part of the reference."""
+    a, b = _reference_system(seq, m, index, object)
+    try:
+        u = exactla.solve(a, b)
+    except SingularMatrixError as exc:
+        raise DegeneratePointError(f"singular system at grid index {index}") from exc
+    for i in range(2, m + 1):
+        if u[i - 1] != u[0] ** i:
+            raise NotInModelError(
+                f"power consistency fails at grid index {index}: u_{i} != u_1^{i}"
+            )
+    if u[0] <= 0:
+        raise NotInModelError(f"rho^2 <= 0 at grid index {index}")
+    return u[0]
+
+
+def _exact_per_node(seq, m, solve_node=_solve_at_index):
     """(rho^2 after gap filling, degenerate indices, max residual, residual
-    scale) from ``_solve_at_index`` at every node; raises what the first
-    failing node raises."""
+    scale) from ``solve_node`` at every node; raises what the first failing
+    node raises."""
     n = seq.grid_size
     rho2 = np.empty(n, dtype=object)
     degenerate = []
     for i in range(n):
         try:
-            rho2[i] = _solve_at_index(seq, m, i)
+            rho2[i] = solve_node(seq, m, i)
         except DegeneratePointError:
             degenerate.append(i)
     solved = [i for i in range(n) if i not in degenerate]
@@ -444,6 +489,11 @@ class TestExactSolveOnDistinctNodes:
         assert all(x == y for x, y in zip(report.rho2_values, filled))
         assert report.max_residual == max_residual
         assert report.residual_scale == residual_scale
+        reference = _exact_per_node(seq, m, _exact_reference_node)
+        assert report.degenerate_indices == reference[1]
+        assert all(type(x) is type(y) and x == y
+                   for x, y in zip(report.rho2_values, reference[0]))
+        assert (report.max_residual, report.residual_scale) == reference[2:]
 
     def test_first_failing_node_is_named_when_its_values_repeat(self):
         n = 16
@@ -460,9 +510,13 @@ class TestExactSolveOnDistinctNodes:
             reconstruct(_exact_rows(rows), 2)
         with pytest.raises(NotInModelError, match=message):
             _exact_per_node(_exact_rows(rows), 2)
+        with pytest.raises(NotInModelError, match=message):
+            _exact_per_node(_exact_rows(rows), 2, _exact_reference_node)
 
         rows = [[v] * n for v in good]
         for index, values in ((3, negative), (5, inconsistent), (6, negative)):
             _set_node(rows, index, values)
         with pytest.raises(NotInModelError, match=r"^rho\^2 <= 0 at grid index 3$"):
             reconstruct(_exact_rows(rows), 2)
+        with pytest.raises(NotInModelError, match=r"^rho\^2 <= 0 at grid index 3$"):
+            _exact_per_node(_exact_rows(rows), 2, _exact_reference_node)
