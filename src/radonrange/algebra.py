@@ -10,13 +10,19 @@ shows the m x m Hankel matrix of consecutive moments is non-singular
 wherever the top density q_{m-1} does not vanish - the linchpin that lets
 rho^2 be solved from moments alone.
 
-Everything here evaluates over exact rationals at sampled rho values (the
-decidable stand-in for identities in the field of rational functions);
-the same formulas accept floats for the numeric pipeline.
+The identities are proven in Q(rho), not sampled: every matrix involved is
+homogeneous in rho.  With F = B(1), F[k, j] = (2k)_j, B(rho) = diag(rho^(2k))
+F diag(rho^(-j)) and S(rho^2) = rho^2 diag(rho^(2i)) S(1) diag(rho^(-2i)), so
+B^-1 S B = rho^2 D T D^-1, D = diag(rho^i), T = F^-1 S(1) F.  One exact
+integer computation per m checks both lemmas and T's closed form
+(``_shift_pattern``); the companion, conjugation and Krylov identities then
+hold for every rho != 0 because they hold at rho = 1.  The same formulas
+accept floats for the numeric pipeline.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -31,7 +37,7 @@ from .errors import (
     InternalConsistencyError,
     InvalidParameterError,
 )
-from .geometry import TangentialData
+from .geometry import SupportFunction, TangentialData
 
 
 def difference_residual(m: int, r: int, j: int) -> int:
@@ -60,8 +66,7 @@ def recurrence_coeffs(m: int, rho2) -> list:
 
 def recurrence_poly_coeffs(m: int, rho2) -> list:
     """Coefficients of t^m - sum_k r_k t^k in increasing powers of t."""
-    r = recurrence_coeffs(m, rho2)
-    return [-rk for rk in r] + [1]
+    return [-rk for rk in recurrence_coeffs(m, rho2)] + [1]
 
 
 def binomial_poly_coeffs(m: int, rho2) -> list:
@@ -101,58 +106,94 @@ def coefficient_matrix(m: int, rho) -> np.ndarray:
         raise InvalidParameterError("rho must be nonzero")
     out = np.zeros(np.shape(rho) + (m, m), dtype=object if exact else float)
     for k in range(m):
-        for j in range(m):
-            c = moments.falling_factorial(2 * k, j)
-            if c:
-                out[..., k, j] = c * rho ** (2 * k - j)
+        for j in range(min(m, 2 * k + 1)):  # c(2k, j) = 0 for j > 2k
+            out[..., k, j] = moments.falling_factorial(2 * k, j) * rho ** (2 * k - j)
     return out
+
+
+def _homogeneous_pattern(matrix, m: int, weight, degree: int) -> np.ndarray:
+    """``matrix(m, 1)``, after proving the scaling lemma
+    matrix(m, x)[i, j] = matrix(m, 1)[i, j] x^weight(i, j) for every x.
+
+    Degree bound: every entry of ``matrix(m, x)`` is a polynomial in x of
+    degree <= ``degree``, and so is the right side, as each nonzero pattern
+    entry must have 0 <= weight <= ``degree``.  Two such polynomials equal
+    at the degree + 1 points x = 1..degree + 1 are equal, and at x = 1 they
+    agree by definition, so x = 2..degree + 1 are checked.  A failure
+    raises :class:`InternalConsistencyError`.
+    """
+    one = matrix(m, 1)
+    for x in range(2, degree + 2):
+        at_x = matrix(m, x)
+        for (i, j), c in np.ndenumerate(one):
+            w = weight(i, j)
+            if (c and not 0 <= w <= degree) or at_x[i, j] != (c * x**w if c else 0):
+                raise InternalConsistencyError(
+                    f"{matrix.__name__} is not homogeneous at m={m}, entry ({i}, {j}), x={x}"
+                )
+    return one
+
+
+def _shift_at_one(m: int) -> np.ndarray:
+    """S(1); entry (i, j) of S(rho^2) has weight 1 + i - j in rho^2, degree <= m."""
+    return _homogeneous_pattern(shift_matrix, m, lambda i, j: 1 + i - j, m)
+
+
+@functools.lru_cache(maxsize=None)
+def _shift_pattern(m: int) -> np.ndarray:
+    """The pattern T = F^-1 S(1) F of the conjugated shift, once per m (read-only).
+
+    Proves both scaling lemmas first (entry (k, j) of B(rho) has weight 2k - j
+    in rho, degree <= 2m - 2), so B^-1 S B = rho^2 D T D^-1 for every rho != 0,
+    then checks T[i, i] = 1, T[i, i+1] = 2(i+1), T[i, i+2] = (i+1)(i+2) and 0
+    elsewhere.  Any failure raises :class:`InternalConsistencyError`.
+    """
+    f = _homogeneous_pattern(coefficient_matrix, m, lambda k, j: 2 * k - j, 2 * m - 2)
+    t = exactla.matmul(exactla.matmul(exactla.inv(f), _shift_at_one(m)), f)
+    for (i, j), x in np.ndenumerate(t):
+        if x != {0: 1, 1: 2 * (i + 1), 2: (i + 1) * (i + 2)}.get(j - i, 0):
+            raise InternalConsistencyError(f"F^-1 S(1) F has a wrong entry ({i}, {j}) at m={m}")
+    t.flags.writeable = False
+    return t
 
 
 def conjugated_shift(m: int, rho) -> np.ndarray:
     """The shift matrix conjugated by the coefficient matrix: B^-1 S B.
 
-    The result is asserted to be upper triangular with constant diagonal
-    rho^2 and first superdiagonal 2*rho*k (k = 1..m-1); a violation raises
-    :class:`InternalConsistencyError` since it can only mean a bug, not bad
-    data.  Exact for rational rho.
+    Exact for rational rho != 0, and built without inverting B: entry (i, j)
+    is T[i, j] rho^(2 + i - j), with the pattern T of ``_shift_pattern``.  The
+    result is asserted to be upper triangular with constant diagonal rho^2
+    and first superdiagonal 2*rho*k (k = 1..m-1); a violation raises
+    :class:`InternalConsistencyError`, a bug, not bad data.
     """
     if not is_exact_scalar(rho):
         raise InvalidParameterError("conjugation runs over exact rationals; pass a Fraction")
     rho = Fraction(rho)
-    s = shift_matrix(m, rho * rho)
-    b = coefficient_matrix(m, rho)
-    out = exactla.matmul(exactla.matmul(exactla.inv(b), s), b)
-    for i in range(m):
-        if out[i, i] != rho * rho:
-            raise InternalConsistencyError("conjugated shift has a wrong diagonal entry")
-        for j in range(i):
-            if out[i, j] != 0:
-                raise InternalConsistencyError("conjugated shift is not upper triangular")
-    for i in range(m - 1):
-        if out[i, i + 1] != 2 * rho * (i + 1):
-            raise InternalConsistencyError("conjugated shift has a wrong superdiagonal")
+    if rho == 0:
+        raise InvalidParameterError("rho must be nonzero")
+    t = _shift_pattern(m)
+    out = exactla.fraction_matrix([[t[i, j] * rho ** (2 + i - j) for j in range(m)]
+                                   for i in range(m)])
+    if any(out[i, i] != rho * rho for i in range(m)):
+        raise InternalConsistencyError("conjugated shift has a wrong diagonal entry")
+    if any(out[i, j] != 0 for i in range(m) for j in range(i)):
+        raise InternalConsistencyError("conjugated shift is not upper triangular")
+    if any(out[i, i + 1] != 2 * rho * (i + 1) for i in range(m - 1)):
+        raise InternalConsistencyError("conjugated shift has a wrong superdiagonal")
     return out
 
 
 def nilpotent_part(m: int, rho) -> np.ndarray:
     """N = B^-1 S B - rho^2 I; strictly upper triangular, nilpotent of index m."""
-    out = conjugated_shift(m, rho).copy()
-    rho = Fraction(rho)
-    for i in range(m):
-        out[i, i] = out[i, i] - rho * rho
-    return out
+    return conjugated_shift(m, rho) - Fraction(rho) ** 2 * np.eye(m, dtype=object)
 
 
 def krylov_matrix(a: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Columns z, Az, ..., A^(m-1) z."""
-    m = a.shape[0]
     cols = [np.asarray(z, dtype=object)]
-    for _ in range(m - 1):
+    for _ in range(a.shape[0] - 1):
         cols.append(exactla.matmul(a, cols[-1]))
-    out = np.empty((m, m), dtype=object)
-    for j, col in enumerate(cols):
-        out[:, j] = col
-    return out
+    return np.stack(cols, axis=1)
 
 
 def krylov_spans(a: np.ndarray, z: np.ndarray, eigenvalue) -> bool:
@@ -165,9 +206,7 @@ def krylov_spans(a: np.ndarray, z: np.ndarray, eigenvalue) -> bool:
     nilpotency check and the criterion.
     """
     m = a.shape[0]
-    shifted = np.asarray(a, dtype=object).copy()
-    for i in range(m):
-        shifted[i, i] = shifted[i, i] - eigenvalue
+    shifted = np.asarray(a, dtype=object) - eigenvalue * np.eye(m, dtype=object)
     top_power = exactla.mat_pow(shifted, m - 1)
     if not exactla.is_zero(exactla.matmul(top_power, shifted)):
         raise InvalidParameterError(
@@ -205,12 +244,10 @@ def recurrence_residual(moment_seq, rho, m: int, r: int, theta: float):
             f"residual at r={r} needs moments through half-order {r + m}"
         )
     rho2 = rho.rho2_at(theta)
-    total = 0
-    for k in range(m + 1):
-        total = total + (-1) ** k * math.comb(m, k) * rho2 ** (m - k) * moment_seq.eval(
-            r + k, theta
-        )
-    return total
+    return sum(
+        (-1) ** k * math.comb(m, k) * rho2 ** (m - k) * moment_seq.eval(r + k, theta)
+        for k in range(m + 1)
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -267,25 +304,13 @@ def hankel_certificate(data: TangentialData, n: int | None = None) -> HankelCert
     rho_s = data.rho.rho_samples(n)
     q_arrays = [data.density_samples(j, n) for j in range(m)]
     top = q_arrays[m - 1]
-    if exact:
-        if all(x == 0 for x in top):
-            raise HypothesisViolatedError("q_{m-1} vanishes identically on the grid")
-    elif float(np.max(np.abs(np.asarray(top, dtype=float)))) <= 1e-12:
+    if (all(x == 0 for x in top) if exact
+            else float(np.max(np.abs(np.asarray(top, dtype=float)))) <= 1e-12):
         raise HypothesisViolatedError("q_{m-1} vanishes identically on the grid")
-
-    if exact:
-        determinants, structure_ok = _exact_hankel_checks(m, p_arrays, rho_s, q_arrays)
-    else:
-        determinants, structure_ok = _float_hankel_checks(m, p_arrays, rho_s, q_arrays)
+    checks = _exact_hankel_checks if exact else _float_hankel_checks
+    determinants, structure_ok = checks(m, p_arrays, rho_s, q_arrays)
     max_abs = max(abs(float(d)) for d in determinants)
-    return HankelCertificate(
-        m=m,
-        grid_size=n,
-        determinants=determinants,
-        max_abs_determinant=max_abs,
-        structure_ok=structure_ok,
-        exact=exact,
-    )
+    return HankelCertificate(m, n, determinants, max_abs, structure_ok, exact)
 
 
 def _exact_hankel_checks(m: int, p_arrays, rho_s, q_arrays):
@@ -298,7 +323,6 @@ def _exact_hankel_checks(m: int, p_arrays, rho_s, q_arrays):
     representatives, inverse = distinct_nodes([*p_arrays, rho_s, *q_arrays])
     determinants = []
     structure_ok = True
-    c_factor = math.factorial(m - 1)
     n_powers = {}
     for i in representatives:
         hankel = [[p_arrays[t + u][i] for u in range(m)] for t in range(m)]
@@ -308,10 +332,8 @@ def _exact_hankel_checks(m: int, p_arrays, rho_s, q_arrays):
             n_powers[rho_i] = exactla.mat_pow(nilpotent_part(m, rho_i), m - 1)
         q_vec = [q[i] for q in q_arrays]
         lhs = exactla.matmul(n_powers[rho_i], np.asarray(q_vec, dtype=object))
-        c = (2 * rho_i) ** (m - 1) * c_factor
-        expected = [c * q_vec[m - 1]] + [0] * (m - 1)
-        if any(x != y for x, y in zip(lhs, expected)):
-            structure_ok = False
+        expected = [(2 * rho_i) ** (m - 1) * math.factorial(m - 1) * q_vec[m - 1]] + [0] * (m - 1)
+        structure_ok = structure_ok and list(lhs) == expected
     return tuple(determinants[k] for k in inverse.tolist()), structure_ok
 
 
@@ -344,7 +366,7 @@ def _float_hankel_checks(m: int, p_arrays, rho_s, q_arrays):
 
 
 def _random_fraction(rng: random.Random, positive: bool = False) -> Fraction:
-    num = rng.randint(1 if positive else -12, 12)
+    num = 0
     while num == 0:
         num = rng.randint(1 if positive else -12, 12)
     return Fraction(num, rng.randint(1, 12))
@@ -358,6 +380,11 @@ def identity_suite(m_max: int = 6, r_max: int = 20, seed: int = 20250810) -> lis
     nilpotency of the companion matrix, the triangular structure of the
     conjugated shift, agreement of the two Krylov criteria, the Hankel
     shift identity on synthetic data, and the disk Hankel certificate.
+
+    The recurrence, companion, conjugation and Krylov rows hold for every
+    rho != 0: a degree bound decides the first, and the scaling lemmas
+    (``_shift_pattern``) reduce the rest to exact integer checks at rho = 1,
+    once per m.  Only the Hankel shift row draws random data (``seed``).
     """
     rng = random.Random(seed)
     results = []
@@ -380,70 +407,45 @@ def identity_suite(m_max: int = 6, r_max: int = 20, seed: int = 20250810) -> lis
         return True, f"{count} alternating binomial sums, all zero"
 
     def check_recurrence():
+        # both sides are polynomials of degree <= m in rho^2: m + 1 points decide
         for m in range(1, m_max + 1):
-            for _ in range(5):
-                rho2 = _random_fraction(rng, positive=True)
+            for rho2 in range(1, m + 2):
                 if recurrence_poly_coeffs(m, rho2) != binomial_poly_coeffs(m, rho2):
                     return False, f"recurrence mismatch at m={m}, rho2={rho2}"
-        return True, f"recurrence == binomial expansion for m <= {m_max}"
+        return True, f"recurrence == binomial expansion for m <= {m_max}, every rho^2"
 
-    def check_determinant():
-        for m in range(1, m_max + 1):
-            for _ in range(20):
-                rho2 = _random_fraction(rng, positive=True)
-                if exactla.det(shift_matrix(m, rho2)) != rho2**m:
-                    return False, f"det != rho^(2m) at m={m}, rho2={rho2}"
-        return True, f"det = rho^(2m) for m <= {m_max}, 20 random rho^2 each"
+    def companion(claim, holds_at_one):
+        # S(rho^2) = rho^2 D S(1) D^-1 carries each claim from rho = 1 to every rho != 0
+        def check():
+            for m in range(1, m_max + 1):
+                if not holds_at_one(m, _shift_at_one(m)):
+                    return False, f"{claim} fails at rho = 1, m={m}"
+            return True, f"{claim} for m <= {m_max}, every rho != 0 (rho = 1 and scaling)"
 
-    def check_charpoly():
-        for m in range(1, m_max + 1):
-            for _ in range(20):
-                rho2 = _random_fraction(rng, positive=True)
-                got = exactla.char_poly(shift_matrix(m, rho2))
-                # char_poly returns c_k of sum c_k lambda^(m-k); compare with
-                # (lambda - rho^2)^m
-                want = tuple(math.comb(m, k) * (-rho2) ** k for k in range(m + 1))
-                if got != want:
-                    return False, f"characteristic polynomial mismatch at m={m}"
-        return True, f"char poly = (lambda - rho^2)^m for m <= {m_max}"
-
-    def check_nilpotency():
-        for m in range(1, m_max + 1):
-            for _ in range(20):
-                rho2 = _random_fraction(rng, positive=True)
-                s = shift_matrix(m, rho2)
-                shifted = s.copy()
-                for i in range(m):
-                    shifted[i, i] = shifted[i, i] - rho2
-                if not exactla.is_zero(exactla.mat_pow(shifted, m)):
-                    return False, f"(S - rho^2 I)^m != 0 at m={m}"
-        return True, f"(S - rho^2 I)^m = 0 for m <= {m_max}"
+        return check
 
     def check_conjugation():
-        samples = [Fraction(1, 2), Fraction(1), Fraction(3), Fraction(7, 5)]
         for m in range(1, m_max + 1):
-            for rho in samples:
-                out = conjugated_shift(m, rho)  # structural assertions inside
-                for i in range(m):
-                    for j in range(i + 3, m):
-                        if out[i, j] != 0:
-                            return False, f"entry ({i},{j}) nonzero at m={m}"
-                for i in range(m - 2):
-                    if out[i, i + 2] != (i + 1) * (i + 2):
-                        return False, f"second superdiagonal wrong at m={m}"
-        return True, f"triangular structure for m <= {m_max}, {len(samples)} rho samples"
+            _shift_pattern(m)  # raises unless the lemmas hold and T is in closed form
+        return True, f"B^-1 S B = rho^2 D T D^-1, T in closed form, m <= {m_max}, every rho != 0"
 
     def check_krylov():
-        agree = 0
-        for _ in range(200):
-            m = rng.randint(1, 5)
-            rho = _random_fraction(rng, positive=True)
-            a = conjugated_shift(m, rho)
-            z = np.asarray([_random_fraction(rng) if rng.random() < 0.8 else Fraction(0)
-                            for _ in range(m)], dtype=object)
-            krylov_spans(a, z, rho * rho)  # raises on disagreement
-            agree += 1
-        return True, f"{agree} random instances, both criteria agree"
+        # B^-1 S B - rho^2 I = rho^2 D (T - I) D^-1, so its (m-1)-th power is
+        # (2 rho)^(m-1) (m-1)! E_(0,m-1): z spans iff z_(m-1) != 0, for every rho
+        vectors = 0
+        for m in range(1, m_max + 1):
+            corner = np.zeros((m, m), dtype=object)
+            corner[0, m - 1] = 2 ** (m - 1) * math.factorial(m - 1)
+            if not exactla.is_zero(exactla.mat_pow(nilpotent_part(m, 1), m - 1) - corner):
+                return False, f"(T - I)^(m-1) is not 2^(m-1) (m-1)! E_(0,m-1) at m={m}"
+            a = conjugated_shift(m, 1)
+            for z in [*np.eye(m, dtype=object), [1] * (m - 1) + [0], [1] * m]:
+                # krylov_spans also checks (T - I)^m = 0
+                if krylov_spans(a, np.asarray(z, dtype=object), 1) != (z[m - 1] != 0):
+                    return False, f"z = {list(z)} misjudged at m={m}"
+                vectors += 1
+        return True, (f"N^(m-1) = (2 rho)^(m-1) (m-1)! E_(0,m-1) for m <= {m_max}, every "
+                      f"rho != 0; both criteria agree on {vectors} fixed vectors")
 
     def check_hankel_shift():
         from .reconstruct import synthesize_moments
@@ -452,25 +454,20 @@ def identity_suite(m_max: int = 6, r_max: int = 20, seed: int = 20250810) -> lis
         for m in range(1, 4):
             rho_vals = [_random_fraction(rng, positive=True) for _ in range(n // 2)]
             q_rows = [[_random_fraction(rng) for _ in range(n // 2)] for _ in range(m)]
+            # doubled lists: the antipodal half-grid repeats them (even samples)
             data = TangentialData(
-                _sampled_support(rho_vals),
-                tuple(_mirrored(row) for row in q_rows),
+                SupportFunction.from_samples(rho_vals * 2),
+                tuple(np.asarray(row * 2, dtype=object) for row in q_rows),
             )
             seq = synthesize_moments(data, 2 * m + 3)
-            for i in range(n):
-                rho2 = data.rho.rho2_samples(n)[i]
+            columns = [seq.values(t) for t in range(seq.max_half_order + 1)]
+            for i, rho2 in enumerate(data.rho.rho2_samples(n)):
+                p_values = [column[i] for column in columns]
                 s = shift_matrix(m, rho2)
-                a0 = exactla.fraction_matrix(
-                    moment_hankel([seq.values(t)[i] for t in range(seq.max_half_order + 1)], m)
-                )
+                hankels = [exactla.fraction_matrix(moment_hankel(p_values, m, k)) for k in range(4)]
                 power = exactla.identity(m)
-                for k in range(4):
-                    ak = exactla.fraction_matrix(
-                        moment_hankel(
-                            [seq.values(t)[i] for t in range(seq.max_half_order + 1)], m, k
-                        )
-                    )
-                    if not exactla.is_zero(exactla.matmul(power, a0) - ak):
+                for k, ak in enumerate(hankels):
+                    if not exactla.is_zero(exactla.matmul(power, hankels[0]) - ak):
                         return False, f"Hankel shift fails at m={m}, k={k}"
                     power = exactla.matmul(power, s)
         return True, "A_k = S^k A_0 for k <= 3 on synthetic exact data"
@@ -484,25 +481,14 @@ def identity_suite(m_max: int = 6, r_max: int = 20, seed: int = 20250810) -> lis
 
     record("difference-identities", check_differences)
     record("recurrence-binomial", check_recurrence)
-    record("companion-determinant", check_determinant)
-    record("companion-charpoly", check_charpoly)
-    record("companion-nilpotency", check_nilpotency)
+    record("companion-determinant", companion("det = rho^(2m)", lambda m, s: exactla.det(s) == 1))
+    record("companion-charpoly", companion("char poly = (lambda - rho^2)^m", lambda m, s: (
+        exactla.char_poly(s) == tuple(math.comb(m, k) * (-1) ** k for k in range(m + 1)))))
+    record("companion-nilpotency", companion("(S - rho^2 I)^m = 0", lambda m, s: (
+        exactla.is_zero(exactla.mat_pow(s - exactla.identity(m), m)))))
     record("conjugation-structure", check_conjugation)
     record("krylov-agreement", check_krylov)
     record("hankel-shift", check_hankel_shift)
     record("hankel-certificate-disk", check_disk_certificate)
     return results
 
-
-def _mirrored(half_values) -> np.ndarray:
-    """Duplicate values over the antipodal half-grid (makes even samples)."""
-    out = np.empty(2 * len(half_values), dtype=object)
-    out[: len(half_values)] = half_values
-    out[len(half_values):] = half_values
-    return out
-
-
-def _sampled_support(half_values):
-    from .geometry import SupportFunction
-
-    return SupportFunction.from_samples(_mirrored(half_values))

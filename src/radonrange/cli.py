@@ -34,7 +34,7 @@ from .algebra import hankel_certificate, identity_suite
 from .bodies import load_tangential
 from .circle import theta_grid
 from .errors import DegeneratePointError, NotInModelError, ReconstructionFailedError
-from .moments import even_moments
+from .moments import even_moments, battery_uses_samples
 from .radon import disk_sinogram, mollified_moment, second_p_derivative_moments
 from .rangetest import membership_battery
 from .reconstruct import reconstruct, synthesize_moments
@@ -208,11 +208,10 @@ def cmd_range_check(args, argv) -> int:
     data = load_tangential(_body_path(args))
     _check_exact_mode(args, data)
     n = data.rho.grid_size or args.grid
-    if data.rho.grid_size is not None and n < 8 * args.K + 4:
-        # a sampled rho gives p_{2K} no trig form, so it is tested on its samples
+    if n < 8 * args.K + 4 and battery_uses_samples(data, 2 * args.K):
         raise _UsageError(
-            f"the body's grid of {n} samples is too small for --K {args.K}: "
-            f"degree {2 * args.K} needs >= {8 * args.K + 4}"
+            f"a grid of {n} samples is too small for --K {args.K}: degree {2 * args.K} "
+            f"has no exact trig form and is tested on >= {8 * args.K + 4} samples"
         )
     # one sampling of rho and the densities serves the battery and moments.csv
     orders = range(0, 2 * args.K + 1, 2)
@@ -398,6 +397,9 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except OverflowError as exc:  # moments of a body too large for floats
+        print(f"degenerate: {exc}", file=sys.stderr)
+        return EXIT_DEGENERATE
     # InvalidParameterError, HypothesisViolatedError and JSONDecodeError are
     # ValueErrors; TypeError/KeyError cover malformed body documents
     except (ValueError, TypeError, KeyError, OSError) as exc:

@@ -68,12 +68,29 @@ def moment(data: TangentialData, k: int, n: int | None = None) -> CircleFunction
     return even_moments(data, [k], n)[0]
 
 
+def _has_trig_form(data: TangentialData, k: int) -> bool:
+    """p_k gets a trig form when every q_j and rho^(k-j), j <= k, has one."""
+    rho = data.rho
+    return all(data.density_poly(j) is not None and (
+        j == k or rho.rho_poly is not None or ((k - j) % 2 == 0 and rho.rho2_poly is not None)
+    ) for j in range(min(data.m, k + 1)))
+
+
+def battery_uses_samples(data: TangentialData, k: int) -> bool:
+    """Whether the range battery tests p_k on 4k + 4 or more samples: p_k gets
+    no trig form, or one built from an inexact rho^2, rho or q_j (j <= k)."""
+    forms = [data.rho.rho2_poly, data.rho.rho_poly]
+    forms += [data.density_poly(j) for j in range(min(data.m, k + 1))]
+    return not (_has_trig_form(data, k) and all(f is None or f.is_exact for f in forms))
+
+
 def even_moments(data: TangentialData, orders, n: int, weight: int = 2) -> list:
     """:func:`moment` for each even order in ``orders``, sampling rho and the
     densities once for all of them.
 
     ``weight`` is the overall factor of the pairing: 2 gives the raw
-    moments, 1 the halved ones that ``synthesize_moments`` hands on.
+    moments, 1 the halved ones that ``synthesize_moments`` hands on.  A
+    float moment that overflows raises ``OverflowError`` naming its order.
     """
     exact = data.is_exact
     used = range(min(data.m, max(orders) + 1))  # q_j enters p_k iff j <= k
@@ -88,16 +105,8 @@ def even_moments(data: TangentialData, orders, n: int, weight: int = 2) -> list:
         q_s = [np.asarray(q, dtype=float) for q in q_s]
     q_polys = [data.density_poly(j) for j in used]
     rho = data.rho
-
-    def has_power(s: int) -> bool:  # rho^s has a trig form
-        return s == 0 or rho.rho_poly is not None or (s % 2 == 0 and rho.rho2_poly is not None)
-
-    # p_k gets a trig form when every q_j and rho^(k-j), j <= k, has one;
     # decided before any power is built, so none is built for nothing
-    with_poly = [
-        all(q is not None and has_power(k - j) for j, q in zip(range(k + 1), q_polys))
-        for k in orders
-    ]
+    with_poly = [_has_trig_form(data, k) for k in orders]
     rho_pows = [TrigPoly.constant(1)]  # rho^s, one multiplication each
     for s in range(1, max((k for k, ok in zip(orders, with_poly) if ok), default=0) + 1):
         if s % 2 == 0 and rho.rho2_poly is not None:
@@ -107,18 +116,21 @@ def even_moments(data: TangentialData, orders, n: int, weight: int = 2) -> list:
         else:
             rho_pows.append(None)
     out = []
-    for k, ok in zip(orders, with_poly):
-        total = None
-        poly = TrigPoly.zero() if ok else None
-        for j, q in zip(range(min(data.m, k + 1)), q_s):
-            factor = weight * falling_factorial(k, j) * (-1 if j % 2 else 1)
-            term = factor * q * rho_s ** (k - j)
-            total = term if total is None else total + term
-            if ok:
-                poly = poly + factor * q_polys[j] * rho_pows[k - j]
-        if exact:
-            total = total[inverse]
-        out.append(CircleFunction(total, poly))
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite moment raises below
+        for k, ok in zip(orders, with_poly):
+            total = None
+            poly = TrigPoly.zero() if ok else None
+            for j, q in zip(range(min(data.m, k + 1)), q_s):
+                factor = weight * falling_factorial(k, j) * (-1 if j % 2 else 1)
+                term = factor * q * rho_s ** (k - j)
+                total = term if total is None else total + term
+                if ok:
+                    poly = poly + factor * q_polys[j] * rho_pows[k - j]
+            if exact:
+                total = total[inverse]
+            elif not np.isfinite(total).all():
+                raise OverflowError(f"moment p_{k} is not finite in float arithmetic")
+            out.append(CircleFunction(total, poly))
     return out
 
 

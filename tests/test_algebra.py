@@ -6,6 +6,7 @@ import pytest
 
 from radonrange import (
     HypothesisViolatedError,
+    InternalConsistencyError,
     InvalidParameterError,
     SupportFunction,
     TangentialData,
@@ -28,7 +29,7 @@ from radonrange import (
     tangential_disk_data,
     theta_grid,
 )
-from radonrange import exactla
+from radonrange import algebra, exactla, moments
 from radonrange.algebra import (
     _exact_hankel_checks,
     _float_hankel_checks,
@@ -387,3 +388,148 @@ class TestHankelMomentsFromOneKernelCall:
                 assert cert.determinants == determinants
             else:
                 assert np.array_equal(cert.determinants, determinants)
+
+
+ROW_NAMES = [
+    "difference-identities", "recurrence-binomial", "companion-determinant",
+    "companion-charpoly", "companion-nilpotency", "conjugation-structure",
+    "krylov-agreement", "hankel-shift", "hankel-certificate-disk",
+]
+
+
+@pytest.fixture
+def fresh_pattern():
+    """The per-m pattern cache, cleared before and after the test."""
+    algebra._shift_pattern.cache_clear()
+    yield
+    algebra._shift_pattern.cache_clear()
+
+
+class TestProvenConjugation:
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_equals_the_inverse_reference(self, m):
+        for rho in (Fraction(3, 2), Fraction(-7, 5), Fraction(2), Fraction(-1, 3), 1):
+            b = coefficient_matrix(m, rho)
+            s = shift_matrix(m, Fraction(rho) ** 2)
+            reference = exactla.matmul(exactla.matmul(exactla.inv(b), s), b)
+            assert np.array_equal(conjugated_shift(m, rho), reference), rho
+
+    def test_zero_rho_rejected(self):
+        for rho in (0, Fraction(0)):
+            with pytest.raises(InvalidParameterError):
+                conjugated_shift(3, rho)
+            with pytest.raises(InvalidParameterError):
+                nilpotent_part(2, rho)
+
+    def test_inverse_taken_once_per_m(self, monkeypatch, fresh_pattern):
+        calls = []
+        real = exactla.inv
+        monkeypatch.setattr(exactla, "inv", lambda a: calls.append(len(a)) or real(a))
+        assert all(ok for _, ok, _ in identity_suite(m_max=6))
+        assert sorted(calls) == [1, 2, 3, 4, 5, 6]
+        calls.clear()
+        assert all(ok for _, ok, _ in identity_suite(m_max=6))
+        assert calls == []
+
+    def test_pattern_and_nilpotent_power_in_q_of_rho(self):
+        sympy = pytest.importorskip("sympy")
+        rho = sympy.Symbol("rho", nonzero=True)
+        for m in range(1, 7):
+            b = sympy.Matrix(m, m, lambda k, j: sympy.ff(2 * k, j) * rho ** (2 * k - j))
+            s = sympy.zeros(m, m)
+            for i in range(m - 1):
+                s[i, i + 1] = 1
+            for k in range(m):
+                s[m - 1, k] = -sympy.binomial(m, k) * (-rho**2) ** (m - k)
+            t = sympy.Matrix(m, m, lambda i, j: int(algebra._shift_pattern(m)[i, j]))
+            closed = sympy.Matrix(
+                m, m, lambda i, j: {0: 1, 1: 2 * (i + 1), 2: (i + 1) * (i + 2)}.get(j - i, 0))
+            assert t == closed
+            conj = sympy.Matrix(m, m, lambda i, j: t[i, j] * rho ** (2 + i - j))
+            assert sympy.expand(b.det()) != 0
+            assert sympy.expand(b * conj - s * b) == sympy.zeros(m, m)
+            corner = sympy.zeros(m, m)
+            corner[0, m - 1] = (2 * rho) ** (m - 1) * sympy.factorial(m - 1)
+            assert sympy.expand((conj - rho**2 * sympy.eye(m)) ** (m - 1)) == corner
+
+
+def _patched(monkeypatch, owner, name, edit):
+    real = getattr(owner, name)
+
+    def wrong(m, x):
+        return edit(real(m, x), m, x)
+
+    monkeypatch.setattr(owner, name, wrong)
+
+
+def _scale_last_diagonal(out, m, rho2):
+    out[..., m - 1, m - 1] = out[..., m - 1, m - 1] * rho2  # right at rho = 1 only
+    return out
+
+
+def _negate_last_row(out, m, rho2):
+    out[..., m - 1, :] = -out[..., m - 1, :]
+    return out
+
+
+def _drop_a_power(out, m, rho):
+    if m > 1:
+        out[..., 1, 1] = 2  # 2 rho -> 2: right at rho = 1 only
+    return out
+
+
+def _double_a_corner(out, m, rho):
+    if m > 1:
+        out[..., m - 1, 0] = 2 * out[..., m - 1, 0]
+    return out
+
+
+SHIFT_ROWS = {
+    "companion-determinant", "companion-charpoly", "companion-nilpotency",
+    "conjugation-structure", "krylov-agreement", "hankel-shift", "hankel-certificate-disk",
+}
+COEFFICIENT_ROWS = {"conjugation-structure", "krylov-agreement", "hankel-certificate-disk"}
+
+MUTATIONS = {
+    "shift exponent": ("shift_matrix", _scale_last_diagonal, SHIFT_ROWS),
+    "shift sign": ("shift_matrix", _negate_last_row, SHIFT_ROWS),
+    "coefficient exponent": ("coefficient_matrix", _drop_a_power, COEFFICIENT_ROWS),
+    "coefficient entry": ("coefficient_matrix", _double_a_corner, COEFFICIENT_ROWS),
+}
+
+
+def _failed_rows(**kwargs):
+    return {name for name, ok, _ in identity_suite(m_max=4, r_max=4, **kwargs) if not ok}
+
+
+class TestMutations:
+    """A wrong companion or coefficient matrix fails exactly the rows that
+    rest on it, also when it is right at rho = 1, and fails the exact Hankel
+    certificate; every row fails under some mutation."""
+
+    @pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+    def test_affected_rows_fail(self, mutation, monkeypatch, fresh_pattern):
+        name, edit, rows = MUTATIONS[mutation]
+        _patched(monkeypatch, algebra, name, edit)
+        assert _failed_rows() == rows
+        with pytest.raises(InternalConsistencyError):
+            hankel_certificate(tangential_disk_data(), n=16)
+
+    def test_wrong_recurrence_fails_its_row(self, monkeypatch, fresh_pattern):
+        real = algebra.recurrence_coeffs
+        monkeypatch.setattr(algebra, "recurrence_coeffs",
+                            lambda m, rho2: [2 * r for r in real(m, rho2)])
+        assert {"recurrence-binomial", *SHIFT_ROWS} == _failed_rows()
+
+    def test_wrong_falling_factorial_fails_the_differences(self, monkeypatch, fresh_pattern):
+        real = moments.falling_factorial
+        monkeypatch.setattr(moments, "falling_factorial",
+                            lambda k, j: real(k, j) + ((k, j) == (6, 2)))
+        assert "difference-identities" in _failed_rows()
+
+    def test_every_row_has_a_failing_mutation(self):
+        covered = {"recurrence-binomial", "difference-identities"}
+        for _, _, rows in MUTATIONS.values():
+            covered |= rows
+        assert covered == set(ROW_NAMES)
+        assert [name for name, _, _ in identity_suite(m_max=2, r_max=2)] == ROW_NAMES

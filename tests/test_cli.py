@@ -300,3 +300,54 @@ class TestRangeCheckOutputs:
         body = _write_body(tmp_path, {"kind": "sampled", "values": values})
         assert main(["range-check", "--body", body, "--K", "2"]) == 1  # degree 4 = 8K + 4 samples
         assert main(["range-check", "--body", body, "--K", "3"]) == 64
+
+
+class TestOverflowingMoments:
+    """A finite body whose float moments overflow is a clean degenerate exit
+    (code 2) naming the order, not a verdict or a misleading input error."""
+
+    HUGE = {"kind": "ellipse", "a": 1e200, "b": 1}
+
+    @pytest.mark.parametrize("command", ["range-check", "reconstruct"])
+    def test_exits_two_naming_the_order(self, tmp_path, command, capsys):
+        body = _write_body(tmp_path, self.HUGE)
+        assert main([command, "--body", body, "--K", "4", "--grid", "64"]) == 2
+        out = capsys.readouterr()
+        assert "moment p_2 is not finite" in out.err
+        assert "FAIL" not in out.out and "not even" not in out.err
+
+    def test_overflow_at_a_higher_order(self, tmp_path, capsys):
+        body = _write_body(tmp_path, {"kind": "trig", "rho2": {"cos": [1e200]}})
+        assert main(["range-check", "--body", body, "--K", "4", "--grid", "64"]) == 2
+        assert "moment p_4 is not finite" in capsys.readouterr().err
+
+
+class TestRangeCheckGridBeforeMoments:
+    """The 8K + 4 samples a moment tested on its samples needs are checked
+    before any moment is computed; exact trig forms need no samples."""
+
+    @staticmethod
+    def _no_moments(monkeypatch):
+        def no_moments(*args, **kwargs):
+            raise AssertionError("moments computed before the grid was checked")
+
+        monkeypatch.setattr(cli, "even_moments", no_moments)
+
+    @pytest.mark.parametrize("doc", [
+        {"kind": "ellipse", "a": 2, "b": 1, "densities": [1, 1]},  # odd powers of rho
+        ELLIPSE,  # float trig forms are tested on samples
+    ])
+    def test_too_small_grid_fails_before_any_moment(self, tmp_path, monkeypatch, capsys, doc):
+        body = _write_body(tmp_path, doc)
+        self._no_moments(monkeypatch)
+        assert main(["range-check", "--body", body, "--grid", "64", "--K", "12"]) == 64
+        err = capsys.readouterr().err
+        assert "grid of 64 samples" in err and "--K 12" in err and ">= 100" in err
+
+    @pytest.mark.parametrize("doc", [
+        {"kind": "trig", "rho2": {"cos": ["9/4"]}, "densities": ["1/2", "3"]},
+        {"kind": "ellipse", "a": 2, "b": 1, "densities": [1]},
+    ])
+    def test_exact_trig_forms_still_pass_at_grid_64(self, tmp_path, doc):
+        body = _write_body(tmp_path, doc)
+        assert main(["range-check", "--body", body, "--grid", "64", "--K", "12"]) == 0

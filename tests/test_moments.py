@@ -18,7 +18,7 @@ from radonrange import (
     moment,
     moment_oracle,
 )
-from radonrange.moments import even_moments
+from radonrange.moments import even_moments, battery_uses_samples
 from tests.conftest import mirrored, random_exact_data
 
 
@@ -212,3 +212,52 @@ class TestEvenMomentPolys:
                 ref = moment(data, k, n)
                 assert p.values.dtype == ref.values.dtype
                 assert all(x == y for x, y in zip(p.values, ref.values))
+
+
+class TestBatteryUsesSamples:
+    """``battery_uses_samples`` says, without computing a moment, whether the
+    range battery will test p_k on its samples: exactly when ``even_moments``
+    gives p_k no exact trig form."""
+
+    def _bodies(self):
+        sampled = SupportFunction.from_samples(mirrored([Fraction(1), Fraction(3, 2)]))
+        return {
+            **TestEvenMomentPolys()._bodies(),
+            "int ellipse m=1": TangentialData(make_ellipse(2, 1), (1,)),
+            "int ellipse m=2": TangentialData(make_ellipse(2, 1), (1, 1)),
+            "tilted ellipse m=1": TangentialData(make_ellipse(2, 1, 0.5), (1,)),
+            "float disk m=2": TangentialData(disk(1.5), (1.0, 0.5)),
+            "float density": TangentialData(make_ellipse(2, 1), (TrigPoly.constant(0.5),)),
+            "sampled m=1": TangentialData(sampled, (1,)),
+        }
+
+    @pytest.mark.parametrize("k", [2, 8, 16])
+    def test_agrees_with_the_computed_forms(self, k):
+        for name, data in self._bodies().items():
+            n = data.natural_grid_size if data.rho.grid_size else 16
+            poly = even_moments(data, [k], n)[0].poly
+            assert battery_uses_samples(data, k) == (poly is None or not poly.is_exact), name
+
+    def test_known_bodies(self):
+        bodies = self._bodies()
+        for name in ("int ellipse m=1", "disk m=3", "trig m=1"):
+            assert not battery_uses_samples(bodies[name], 24), name
+        for name in ("int ellipse m=2", "tilted ellipse m=1", "float disk m=2", "sampled m=1"):
+            assert battery_uses_samples(bodies[name], 24), name
+
+
+class TestFloatOverflow:
+    def test_overflowing_moment_names_its_order(self):
+        data = TangentialData(SupportFunction.from_rho2_poly(TrigPoly.constant(1e200)), (1.0,))
+        with pytest.raises(OverflowError, match=r"moment p_4 is not finite"):
+            even_moments(data, [0, 2, 4], 16)
+
+    def test_infinite_axis_is_caught_at_the_first_order_using_rho(self):
+        data = TangentialData(make_ellipse(1e200, 1.0), (1.0,))
+        assert np.isfinite(even_moments(data, [0], 16)[0].values).all()
+        with pytest.raises(OverflowError, match=r"moment p_2 is not finite"):
+            even_moments(data, [0, 2], 16)
+
+    def test_exact_moments_never_overflow(self):
+        data = TangentialData(disk(10**100), (1,))  # rho^4 = 10^400 is past the float range
+        assert even_moments(data, [0, 2, 4], 8)[2].values[0] == 2 * 10**400
