@@ -254,11 +254,13 @@ def recurrence_residual(moment_seq, rho, m: int, r: int, theta: float):
 class HankelCertificate:
     """Per-direction non-singularity certificate for the moment Hankel matrix.
 
-    ``determinants`` holds det of the m x m Hankel matrix of moments at
-    every grid direction; ``structure_ok`` records whether
-    N^(m-1) Q = (2 rho)^(m-1) (m-1)! q_{m-1} e_1 held everywhere.  The
-    certificate passes when the determinant is nonvanishing somewhere and
-    the structural identity held at every direction.
+    ``structure_ok`` records that the conjugated shift has the pattern proven
+    once per m (``_shift_pattern``), so N^(m-1) Q = (2 rho)^(m-1) (m-1)!
+    q_{m-1} e_1 at every direction with rho != 0 and the Hankel matrix is
+    non-singular wherever q_{m-1} does not vanish.  ``determinants`` holds
+    det of the m x m Hankel matrix of moments at every grid direction, as
+    reported data.  The certificate passes when the structure holds and
+    some determinant is nonzero; no tolerance enters, in either arithmetic.
     """
 
     m: int
@@ -270,8 +272,7 @@ class HankelCertificate:
 
     @property
     def verdict(self) -> bool:
-        threshold = 0.0 if self.exact else 1e-12
-        return self.structure_ok and self.max_abs_determinant > threshold
+        return self.structure_ok and self.max_abs_determinant > 0
 
     def to_dict(self) -> dict:
         return {
@@ -290,74 +291,37 @@ class HankelCertificate:
 def hankel_certificate(data: TangentialData, n: int | None = None) -> HankelCertificate:
     """Certify det A != 0 for the Hankel matrix A of moments of ``data``.
 
-    Builds the moments p_0 .. p_{4m-4} on the grid, takes the m x m Hankel
-    determinant at each node, and verifies the structural identity
-    N^(m-1) Q = (2 rho)^(m-1) (m-1)! q_{m-1} e_1 pointwise (exactly in
-    exact mode, to 1e-9 relative in float mode).  Requires q_{m-1} not
-    identically zero.
+    One path for both arithmetics.  The structure is taken from the per-m
+    proof (``_shift_pattern``, which raises :class:`InternalConsistencyError`
+    on a wrong matrix), not re-checked per node.  The determinants of the
+    Hankel matrices of p_0 .. p_{4m-4} are reported at every node: batched
+    over the grid in float arithmetic, once per distinct node in exact
+    arithmetic.  Requires q_{m-1} not identically zero and rho nonzero at
+    every node.
     """
     if n is None:
         n = data.natural_grid_size
     m = data.m
     exact = data.is_exact
-    p_arrays = [f.values for f in moments.even_moments(data, range(0, 4 * m - 3, 2), n)]
-    rho_s = data.rho.rho_samples(n)
-    q_arrays = [data.density_samples(j, n) for j in range(m)]
-    top = q_arrays[m - 1]
+    top = data.density_samples(m - 1, n)
     if (all(x == 0 for x in top) if exact
             else float(np.max(np.abs(np.asarray(top, dtype=float)))) <= 1e-12):
         raise HypothesisViolatedError("q_{m-1} vanishes identically on the grid")
-    checks = _exact_hankel_checks if exact else _float_hankel_checks
-    determinants, structure_ok = checks(m, p_arrays, rho_s, q_arrays)
+    if np.any(data.rho.rho_samples(n) == 0):
+        raise InvalidParameterError("rho must be nonzero")
+    _shift_pattern(m)  # raises unless N^(m-1) has its corner form for every rho != 0
+    p_arrays = [f.values for f in moments.even_moments(data, range(0, 4 * m - 3, 2), n)]
+    if exact:
+        representatives, inverse = distinct_nodes(p_arrays)
+        dets = [exactla.det(exactla.fraction_matrix(
+            [[p[i] for p in p_arrays[t : t + m]] for t in range(m)])) for i in representatives]
+        determinants = tuple(dets[k] for k in inverse.tolist())
+    else:
+        p = np.stack([np.asarray(v, dtype=float) for v in p_arrays], axis=-1)
+        hankel = np.stack([p[:, t : t + m] for t in range(m)], axis=-2)
+        determinants = tuple(np.linalg.det(hankel).tolist())
     max_abs = max(abs(float(d)) for d in determinants)
-    return HankelCertificate(m, n, determinants, max_abs, structure_ok, exact)
-
-
-def _exact_hankel_checks(m: int, p_arrays, rho_s, q_arrays):
-    """Exact Hankel determinants and structural identity, once per distinct node.
-
-    Both are functions of a node's values (p, rho, q), so they are computed
-    at the first node of each distinct tuple and gathered back over the
-    grid; N^(m-1) depends on rho alone and is computed once per distinct rho.
-    """
-    representatives, inverse = distinct_nodes([*p_arrays, rho_s, *q_arrays])
-    determinants = []
-    structure_ok = True
-    n_powers = {}
-    for i in representatives:
-        hankel = [[p_arrays[t + u][i] for u in range(m)] for t in range(m)]
-        determinants.append(exactla.det(exactla.fraction_matrix(hankel)))
-        rho_i = Fraction(rho_s[i])
-        if rho_i not in n_powers:
-            n_powers[rho_i] = exactla.mat_pow(nilpotent_part(m, rho_i), m - 1)
-        q_vec = [q[i] for q in q_arrays]
-        lhs = exactla.matmul(n_powers[rho_i], np.asarray(q_vec, dtype=object))
-        expected = [(2 * rho_i) ** (m - 1) * math.factorial(m - 1) * q_vec[m - 1]] + [0] * (m - 1)
-        structure_ok = structure_ok and list(lhs) == expected
-    return tuple(determinants[k] for k in inverse.tolist()), structure_ok
-
-
-def _float_hankel_checks(m: int, p_arrays, rho_s, q_arrays):
-    """Float Hankel determinants and structural identity (to 1e-9 relative)
-    over the whole grid at once, as stacked (n, m, m) arrays."""
-    p = np.stack([np.asarray(v, dtype=float) for v in p_arrays], axis=-1)
-    hankel = np.stack([p[:, t : t + m] for t in range(m)], axis=-2)
-    determinants = np.linalg.det(hankel)
-
-    rho = np.asarray(rho_s, dtype=float)
-    rho2 = rho * rho
-    b = coefficient_matrix(m, rho)  # raises InvalidParameterError where rho = 0
-    npart = np.linalg.inv(b) @ shift_matrix(m, rho2) @ b - rho2[:, None, None] * np.eye(m)
-    n_power = np.linalg.matrix_power(npart, m - 1)
-    q = np.stack([np.asarray(v, dtype=float) for v in q_arrays], axis=-1)
-    lhs = (n_power @ q[:, :, None])[..., 0]
-    expected = np.zeros_like(lhs)
-    expected[:, 0] = (2.0 * rho) ** (m - 1) * math.factorial(m - 1) * q[:, m - 1]
-    scale = np.maximum(
-        np.maximum(np.max(np.abs(expected), axis=1), np.max(np.abs(lhs), axis=1)), 1e-30
-    )
-    off = np.max(np.abs(lhs - expected), axis=1) > 1e-9 * scale
-    return tuple(determinants.tolist()), not off.any()
+    return HankelCertificate(m, n, determinants, max_abs, structure_ok=True, exact=exact)
 
 
 # ---------------------------------------------------------------------------

@@ -339,34 +339,34 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, body=False):
-        p.add_argument("--grid", type=int, default=512, help="theta grid size (power of two)")
-        p.add_argument("--K", type=int, default=12, help="maximum half-order of moments")
-        p.add_argument("--m", type=int, default=None, help="number of densities")
-        p.add_argument("--tol", type=float, default=1e-8, help="relative tolerance")
-        p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--exact", action="store_true", help="require exact rational arithmetic")
-        if body:
-            p.add_argument("--body", default=None, help="path to a body JSON document")
-
-    p = sub.add_parser("demo-disk", help="chord-integral identity of the disk density")
-    common(p)
-
-    p = sub.add_parser("verify-identities", help="exact identity suite")
-    common(p)
-    p.set_defaults(m=6)
-
-    p = sub.add_parser("range-check", help="range membership of a body's moments")
-    common(p, body=True)
-
-    p = sub.add_parser("reconstruct", help="recover rho^2 and certify the ellipse")
-    common(p, body=True)
-    p.add_argument("--window", default=None, help="restrict to the arc LO:HI (radians)")
-
-    p = sub.add_parser("perturbation-study", help="separation of identities vs membership")
-    common(p)
-    p.add_argument("--eps", type=float, nargs="*", default=None, help="perturbation sizes")
-    p.add_argument("--frequency", type=int, default=4, help="perturbation frequency")
+    flags = {
+        "--grid": dict(type=int, default=512, help="theta grid size (power of two)"),
+        "--K": dict(type=int, default=12, help="maximum half-order of moments"),
+        "--m": dict(type=int, default=None, help="number of densities"),
+        "--tol": dict(type=float, default=1e-8, help="relative tolerance"),
+        "--out": dict(default=None, help="output directory"),
+        "--exact": dict(action="store_true", help="require exact rational arithmetic"),
+        "--body": dict(default=None, help="path to a body JSON document"),
+        "--window": dict(default=None, help="restrict to the arc LO:HI (radians)"),
+        "--eps": dict(type=float, nargs="*", default=None, help="perturbation sizes"),
+        "--frequency": dict(type=int, default=4, help="perturbation frequency"),
+    }
+    # each command accepts only the flags it reads
+    for name, summary, used in (
+        ("demo-disk", "chord-integral identity of the disk density",
+         ("--grid", "--K", "--tol", "--out")),
+        ("verify-identities", "exact identity suite", ("--m", "--out")),
+        ("range-check", "range membership of a body's moments",
+         ("--body", "--grid", "--K", "--tol", "--exact", "--out")),
+        ("reconstruct", "recover rho^2 and certify the ellipse",
+         ("--body", "--grid", "--K", "--m", "--tol", "--exact", "--window", "--out")),
+        ("perturbation-study", "separation of identities vs membership",
+         ("--grid", "--K", "--tol", "--eps", "--frequency", "--out")),
+    ):
+        p = sub.add_parser(name, help=summary)
+        for flag in used:
+            p.add_argument(flag, **flags[flag])
+    sub.choices["verify-identities"].set_defaults(m=6)
     return parser
 
 

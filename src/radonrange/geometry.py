@@ -114,10 +114,14 @@ class SupportFunction:
                 raise InvalidParameterError("trig/ellipse support functions need rho2_poly")
             if not poly.is_even():
                 raise InvalidParameterError("rho^2 must contain even frequencies only")
-            n_check = max(DEFAULT_GRID_SIZE, 4 * poly.max_frequency + 4)
-            if n_check % 2:
-                n_check += 1
-            if float(np.min(poly.samples(n_check))) <= 0.0:
+            if _is_exact_constant(poly):  # decided by its sign; a float may overflow
+                nonpositive = poly.cos_coeffs[0] <= 0
+            else:
+                n_check = max(DEFAULT_GRID_SIZE, 4 * poly.max_frequency + 4)
+                if n_check % 2:
+                    n_check += 1
+                nonpositive = float(np.min(poly.samples(n_check))) <= 0.0
+            if nonpositive:
                 raise PositivityError("rho^2 must be strictly positive on the grid")
 
     # -- queries --------------------------------------------------------

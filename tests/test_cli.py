@@ -186,6 +186,21 @@ class TestUsageErrors:
     def test_bad_m(self):
         assert main(["verify-identities", "--m", "0"]) == 64
 
+    @pytest.mark.parametrize("command, flag", [
+        ("demo-disk", ["--m", "2"]),
+        ("demo-disk", ["--exact"]),
+        ("verify-identities", ["--grid", "64"]),
+        ("verify-identities", ["--K", "4"]),
+        ("verify-identities", ["--tol", "1e-8"]),
+        ("verify-identities", ["--exact"]),
+        ("range-check", ["--m", "2"]),
+        ("perturbation-study", ["--m", "2"]),
+        ("perturbation-study", ["--exact"]),
+    ])
+    def test_flag_the_command_does_not_read(self, command, flag, capsys):
+        assert main([command, *flag]) == 64
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_tolerance(self, value, capsys):
         assert main(["demo-disk", "--tol", value]) == 64

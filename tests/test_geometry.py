@@ -127,6 +127,15 @@ class TestSampledSupport:
         with pytest.raises(InvalidParameterError):
             SupportFunction.from_rho2_poly(TrigPoly.from_terms(cos={0: 2, 1: 1}))
 
+    def test_exact_constant_positivity_by_sign(self):
+        # 10**400 has no float value, so sampling it would overflow
+        body = disk(10**200)
+        assert body.rho2_samples(8)[0] == 10**400
+        assert body.rho_samples(8)[0] == 10**200
+        for c in (0, Fraction(-1, 3), -(10**400)):
+            with pytest.raises(PositivityError):
+                SupportFunction.from_rho2_poly(TrigPoly.constant(c))
+
 
 class TestTangentialData:
     def test_scalar_densities_promoted(self):
