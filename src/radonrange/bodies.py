@@ -1,4 +1,4 @@
-"""JSON serialization of body definitions and tangential data.
+"""Reading body definitions and tangential data from JSON documents.
 
 A body document looks like one of
 
@@ -10,7 +10,7 @@ A body document looks like one of
 optionally extended with ``"m"`` and ``"densities"`` (a list of scalars or
 {"cos": [...], "sin": [...]} objects) to form tangential data; a missing
 density list defaults to the single density q_0 = 1.  Exact rationals are
-written as "p/q" strings everywhere.
+given as "p/q" strings everywhere.
 """
 
 from __future__ import annotations
@@ -41,14 +41,6 @@ def scalar_from_json(value):
     raise InvalidParameterError(f"cannot parse scalar {value!r}")
 
 
-def scalar_to_json(value):
-    if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
-    if isinstance(value, (int, float)):
-        return value
-    return float(value)
-
-
 def trigpoly_from_json(value) -> TrigPoly:
     if isinstance(value, (int, float, str)):
         return TrigPoly.constant(scalar_from_json(value))
@@ -57,13 +49,6 @@ def trigpoly_from_json(value) -> TrigPoly:
         sin = [scalar_from_json(x) for x in value.get("sin", [])]
         return TrigPoly(tuple(cos) or (0,), tuple(sin) or (0,))
     raise InvalidParameterError("a trig polynomial is a scalar or a {cos, sin} object")
-
-
-def trigpoly_to_json(poly: TrigPoly) -> dict:
-    return {
-        "cos": [scalar_to_json(c) for c in poly.cos_coeffs],
-        "sin": [scalar_to_json(c) for c in poly.sin_coeffs],
-    }
 
 
 def body_from_json(doc: dict) -> SupportFunction:
@@ -96,13 +81,6 @@ def body_from_json(doc: dict) -> SupportFunction:
             raise InvalidParameterError("a sampled body needs 'values'")
         return SupportFunction.from_samples([scalar_from_json(v) for v in values])
     raise InvalidParameterError(f"unknown body kind {kind!r}")
-
-
-def body_to_json(body: SupportFunction) -> dict:
-    # ellipses serialize through rho2; readers only need the quadratic form
-    if body.kind in ("ellipse", "trig"):
-        return {"kind": "trig", "rho2": trigpoly_to_json(body.rho2_poly)}
-    return {"kind": "sampled", "values": [scalar_to_json(v) for v in body.values]}
 
 
 def _density_from_json(value):

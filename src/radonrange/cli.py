@@ -34,7 +34,7 @@ from .algebra import hankel_certificate, identity_suite
 from .bodies import load_tangential
 from .circle import theta_grid
 from .errors import DegeneratePointError, NotInModelError, ReconstructionFailedError
-from .moments import even_moments, battery_uses_samples
+from .moments import even_moments, has_exact_form
 from .radon import disk_sinogram, mollified_moment, second_p_derivative_moments
 from .rangetest import membership_battery
 from .reconstruct import reconstruct, synthesize_moments
@@ -208,7 +208,7 @@ def cmd_range_check(args, argv) -> int:
     data = load_tangential(_body_path(args))
     _check_exact_mode(args, data)
     n = data.rho.grid_size or args.grid
-    if n < 8 * args.K + 4 and battery_uses_samples(data, 2 * args.K):
+    if n < 8 * args.K + 4 and not has_exact_form(data, 2 * args.K):
         raise _UsageError(
             f"a grid of {n} samples is too small for --K {args.K}: degree {2 * args.K} "
             f"has no exact trig form and is tested on >= {8 * args.K + 4} samples"

@@ -34,13 +34,6 @@ def fraction_matrix(rows) -> np.ndarray:
     return out
 
 
-def fraction_vector(entries) -> np.ndarray:
-    out = np.empty(len(entries), dtype=object)
-    for i, x in enumerate(entries):
-        out[i] = Fraction(x)
-    return out
-
-
 def identity(n: int) -> np.ndarray:
     return _unscaled(np.eye(n, dtype=object), 1)
 

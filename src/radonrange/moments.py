@@ -16,10 +16,12 @@ by brute-force delta calculus, term by term and without the evenness
 shortcut, so the two can be crossed in tests.
 
 ``even_moments`` is the one moment kernel: it samples rho and the
-densities once for a whole list of orders and builds each trigonometric
-power rho^s once, and every caller that needs several orders
-(``synthesize_moments``, ``range_check``, ``hankel_certificate`` and the
-``range-check`` command) calls it once.
+densities once for a whole list of orders, and every caller that needs
+several orders (``synthesize_moments``, ``range_check``,
+``hankel_certificate`` and the ``range-check`` command) calls it once.
+A moment carries a trigonometric form only when that form is exact
+(:func:`has_exact_form`); it then builds each power rho^s once.  Every
+other moment is its samples alone, and the range battery tests it on them.
 """
 
 from __future__ import annotations
@@ -55,11 +57,11 @@ def moment(data: TangentialData, k: int, n: int | None = None) -> CircleFunction
     """The k-th p-moment of the tangential distribution, as a function of theta.
 
     Odd k gives the zero function.  Samples are exact (Fractions) whenever
-    the data are; the closed trigonometric form is attached whenever all
-    required powers of rho have one (always for even-only densities, and
-    for disks in general).  Exact samples are computed once per distinct
-    node value of (rho, q_j for the orders j <= k that occur) and gathered
-    back over the grid.
+    the data are; the trigonometric form is attached only when it is exact
+    (:func:`has_exact_form`), so a float body's moment lives on the grid
+    alone.  Exact samples are computed once per distinct node value of
+    (rho, q_j for the orders j <= k that occur) and gathered back over the
+    grid.
     """
     if n is None:
         n = data.natural_grid_size
@@ -68,29 +70,33 @@ def moment(data: TangentialData, k: int, n: int | None = None) -> CircleFunction
     return even_moments(data, [k], n)[0]
 
 
-def _has_trig_form(data: TangentialData, k: int) -> bool:
-    """p_k gets a trig form when every q_j and rho^(k-j), j <= k, has one."""
-    rho = data.rho
-    return all(data.density_poly(j) is not None and (
-        j == k or rho.rho_poly is not None or ((k - j) % 2 == 0 and rho.rho2_poly is not None)
+def _exact_rho_forms(data: TangentialData) -> list:
+    """[rho, rho^2] as trig forms, each None unless it is exact."""
+    return [f if f is not None and f.is_exact else None
+            for f in (data.rho.rho_poly, data.rho.rho2_poly)]
+
+
+def has_exact_form(data: TangentialData, k: int) -> bool:
+    """Whether the even moment p_k has an exact trig form: for every j <= k,
+    q_j is an exact :class:`TrigPoly` and rho^(k-j) comes from an exact rho,
+    or from an exact rho^2 when k - j is even.  Only these moments get a
+    form; the range battery tests every other p_k on 4k + 4 or more samples.
+    """
+    rho, rho2 = _exact_rho_forms(data)
+    return all((q := data.density_poly(j)) is not None and q.is_exact and (
+        j == k or rho is not None or ((k - j) % 2 == 0 and rho2 is not None)
     ) for j in range(min(data.m, k + 1)))
-
-
-def battery_uses_samples(data: TangentialData, k: int) -> bool:
-    """Whether the range battery tests p_k on 4k + 4 or more samples: p_k gets
-    no trig form, or one built from an inexact rho^2, rho or q_j (j <= k)."""
-    forms = [data.rho.rho2_poly, data.rho.rho_poly]
-    forms += [data.density_poly(j) for j in range(min(data.m, k + 1))]
-    return not (_has_trig_form(data, k) and all(f is None or f.is_exact for f in forms))
 
 
 def even_moments(data: TangentialData, orders, n: int, weight: int = 2) -> list:
     """:func:`moment` for each even order in ``orders``, sampling rho and the
     densities once for all of them.
 
-    ``weight`` is the overall factor of the pairing: 2 gives the raw
-    moments, 1 the halved ones that ``synthesize_moments`` hands on.  A
-    float moment that overflows raises ``OverflowError`` naming its order.
+    Only the orders with an exact form (:func:`has_exact_form`) get one, so
+    no float trig polynomial is ever multiplied.  ``weight`` is the overall
+    factor of the pairing: 2 gives the raw moments, 1 the halved ones that
+    ``synthesize_moments`` hands on.  A float moment that overflows raises
+    ``OverflowError`` naming its order.
     """
     exact = data.is_exact
     used = range(min(data.m, max(orders) + 1))  # q_j enters p_k iff j <= k
@@ -103,16 +109,15 @@ def even_moments(data: TangentialData, orders, n: int, weight: int = 2) -> list:
     else:
         rho_s = np.asarray(rho_s, dtype=float)
         q_s = [np.asarray(q, dtype=float) for q in q_s]
-    q_polys = [data.density_poly(j) for j in used]
-    rho = data.rho
+    rho, rho2 = _exact_rho_forms(data)
     # decided before any power is built, so none is built for nothing
-    with_poly = [_has_trig_form(data, k) for k in orders]
-    rho_pows = [TrigPoly.constant(1)]  # rho^s, one multiplication each
+    with_poly = [has_exact_form(data, k) for k in orders]
+    rho_pows = [TrigPoly.constant(1)]  # exact rho^s, one multiplication each
     for s in range(1, max((k for k, ok in zip(orders, with_poly) if ok), default=0) + 1):
-        if s % 2 == 0 and rho.rho2_poly is not None:
-            rho_pows.append(rho_pows[s - 2] * rho.rho2_poly)
-        elif rho.rho_poly is not None:
-            rho_pows.append(rho_pows[s - 1] * rho.rho_poly)
+        if s % 2 == 0 and rho2 is not None:
+            rho_pows.append(rho_pows[s - 2] * rho2)
+        elif rho is not None:
+            rho_pows.append(rho_pows[s - 1] * rho)
         else:
             rho_pows.append(None)
     out = []
@@ -125,7 +130,7 @@ def even_moments(data: TangentialData, orders, n: int, weight: int = 2) -> list:
                 term = factor * q * rho_s ** (k - j)
                 total = term if total is None else total + term
                 if ok:
-                    poly = poly + factor * q_polys[j] * rho_pows[k - j]
+                    poly = poly + factor * data.density_poly(j) * rho_pows[k - j]
             if exact:
                 total = total[inverse]
             elif not np.isfinite(total).all():

@@ -58,6 +58,9 @@ from .rangetest import MembershipReport, is_homogeneous_restriction
 #: budget of grid directions allowed to have a singular pointwise system
 MAX_DEGENERATE_FRACTION = 0.05
 
+#: relative tolerance of the float power consistency check u_i = u_1^i
+CONSISTENCY_TOL = 1e-8
+
 
 @dataclass(frozen=True, eq=False)
 class MomentSequence:
@@ -102,6 +105,9 @@ class MomentSequence:
         return self.entries[k].values
 
     def eval(self, k: int, theta: float):
+        """p_{2k} at ``theta``: the stored sample at a grid node; off the grid
+        only an entry with an exact trig form has a value, and any other
+        raises :class:`InvalidParameterError`."""
         return self.entries[k].value_at(theta)
 
 
@@ -150,16 +156,14 @@ def _int_power(values: np.ndarray, e: int) -> np.ndarray:
     return np.array([v**e for v in values.tolist()], dtype=values.dtype)
 
 
-def _solve_nodes(
-    moment_seq: MomentSequence, m: int, indices: np.ndarray, consistency_tol: float
-):
+def _solve_nodes(moment_seq: MomentSequence, m: int, indices: np.ndarray):
     """rho^2 at the grid nodes ``indices``, in the moments' arithmetic.
 
     Returns ``(rho2, degenerate)``: the solved rho^2 and a mask of the nodes
     whose system is singular (their rho^2 entries are meaningless).  Raises
     :class:`NotInModelError` for the first non-degenerate node, in the order
     of ``indices``, whose powers are inconsistent (u_i != u_1^i beyond
-    ``consistency_tol``; exact moments must match exactly) or whose rho^2
+    :data:`CONSISTENCY_TOL`; exact moments must match exactly) or whose rho^2
     is nonpositive.
     """
     if moment_seq.is_exact:
@@ -178,7 +182,6 @@ def _solve_nodes(
                 u[pos] = exactla.solve(a[pos], b[pos])
             except SingularMatrixError:
                 degenerate[pos] = True
-        consistency_tol = 0
     else:
         inverse = np.arange(len(indices))
         a, b = _power_system(moment_seq, m, indices)
@@ -198,6 +201,7 @@ def _solve_nodes(
             ok = ~degenerate
             u[ok] = np.linalg.solve(a[ok], b[ok, :, None])[..., 0]
     u1 = u[:, 0].copy()
+    consistency_tol = 0 if moment_seq.is_exact else CONSISTENCY_TOL
     # smallest power i whose consistency u_i = u_1^i fails at each node (0: none)
     failed_power = np.zeros(len(indices), dtype=int)
     for i in range(m, 1, -1):
@@ -216,19 +220,15 @@ def _solve_nodes(
     return u1[inverse], degenerate[inverse]
 
 
-def _solve_at_index(
-    moment_seq: MomentSequence, m: int, index: int, consistency_tol: float = 1e-8
-):
+def _solve_at_index(moment_seq: MomentSequence, m: int, index: int):
     """rho^2 at one grid node; raises DegeneratePointError / NotInModelError."""
-    rho2, degenerate = _solve_nodes(moment_seq, m, np.array([index]), consistency_tol)
+    rho2, degenerate = _solve_nodes(moment_seq, m, np.array([index]))
     if degenerate[0]:
         raise DegeneratePointError(f"singular system at grid index {index}")
     return rho2.tolist()[0]
 
 
-def solve_rho2(
-    moment_seq: MomentSequence, m: int, theta: float, consistency_tol: float = 1e-8
-):
+def solve_rho2(moment_seq: MomentSequence, m: int, theta: float):
     """Solve the pointwise power system for rho(theta)^2.
 
     Needs moments through half-order 2m - 1.  The angle must be a grid
@@ -241,7 +241,7 @@ def solve_rho2(
             f"solving with m={m} needs moments through half-order {2 * m - 1}"
         )
     index = grid_index(theta, moment_seq.grid_size)
-    return _solve_at_index(moment_seq, m, index, consistency_tol)
+    return _solve_at_index(moment_seq, m, index)
 
 
 def _window_mask(n: int, window) -> np.ndarray:
@@ -340,8 +340,6 @@ def reconstruct(
     m: int,
     window: tuple | None = None,
     tol: float = 1e-8,
-    consistency_tol: float = 1e-8,
-    max_degenerate_fraction: float = MAX_DEGENERATE_FRACTION,
 ) -> ReconstructionReport:
     """Run the full pointwise solve / membership / quadratic-fit pipeline.
 
@@ -349,7 +347,7 @@ def reconstruct(
     evaluates the recurrence residuals for all available orders, and in
     global mode tests the degree-2 membership and fits the quadratic form.
     Raises :class:`ReconstructionFailedError` when more than
-    ``max_degenerate_fraction`` of the attempted nodes are degenerate.
+    :data:`MAX_DEGENERATE_FRACTION` of the attempted nodes are degenerate.
     """
     if moment_seq.max_half_order < 2 * m - 1:
         raise InvalidParameterError(
@@ -363,14 +361,14 @@ def reconstruct(
     else:
         selected = np.arange(n)
 
-    rho2, degenerate_mask = _solve_nodes(moment_seq, m, selected, consistency_tol)
+    rho2, degenerate_mask = _solve_nodes(moment_seq, m, selected)
     solved = ~degenerate_mask
     degenerate = [int(i) for i in selected[~solved]]
     notes = []
-    if len(degenerate) > max_degenerate_fraction * len(selected):
+    if len(degenerate) > MAX_DEGENERATE_FRACTION * len(selected):
         raise ReconstructionFailedError(
             f"{len(degenerate)} of {len(selected)} directions degenerate "
-            f"(budget {max_degenerate_fraction:.0%})"
+            f"(budget {MAX_DEGENERATE_FRACTION:.0%})"
         )
     if degenerate:
         notes.append(f"{len(degenerate)} degenerate directions were interpolated")

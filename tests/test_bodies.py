@@ -7,13 +7,10 @@ import pytest
 from radonrange import InvalidParameterError, TrigPoly
 from radonrange.bodies import (
     body_from_json,
-    body_to_json,
     load_tangential,
     scalar_from_json,
-    scalar_to_json,
     tangential_from_json,
     trigpoly_from_json,
-    trigpoly_to_json,
 )
 
 
@@ -24,10 +21,6 @@ class TestScalars:
         assert scalar_from_json("3") == 3
         assert scalar_from_json(2.5) == 2.5
         assert scalar_from_json(4) == 4
-
-    def test_round_trip(self):
-        for value in (Fraction(1, 2), 3, 2.5, Fraction(-7, 3)):
-            assert scalar_from_json(scalar_to_json(value)) == value
 
     def test_rejects_garbage(self):
         with pytest.raises(InvalidParameterError):
@@ -70,12 +63,6 @@ class TestBodies:
         with pytest.raises(InvalidParameterError):
             body_from_json({})
 
-    def test_round_trip_through_json(self):
-        doc = {"kind": "trig", "rho2": {"cos": ["1", 0, "1/4"], "sin": [0, 0, 0]}}
-        body = body_from_json(doc)
-        again = body_from_json(json.loads(json.dumps(body_to_json(body))))
-        assert again.rho2_poly.cos_coeffs == body.rho2_poly.cos_coeffs
-
 
 class TestTangential:
     def test_default_density(self):
@@ -115,7 +102,7 @@ class TestTangential:
         assert data.m == 1
 
 
-def test_trigpoly_round_trip():
+def test_trigpoly_from_json():
     poly = TrigPoly((Fraction(1, 2), 0, 3), (0, Fraction(-2, 7), 0))
-    assert trigpoly_from_json(trigpoly_to_json(poly)).cos_coeffs == poly.cos_coeffs
+    assert trigpoly_from_json({"cos": ["1/2", 0, 3], "sin": [0, "-2/7", 0]}) == poly
     assert trigpoly_from_json("5").cos_coeffs == (5,)

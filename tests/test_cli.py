@@ -136,10 +136,24 @@ class TestReconstructCommand:
         assert main(["reconstruct", "--body", body, "--exact"]) == 64
 
     def test_exact_mode_accepts_rational_disk(self, tmp_path):
-        body = _write_body(
-            tmp_path, {"kind": "trig", "rho2": {"cos": ["9/4"], "sin": [0]}, "densities": [1]}
-        )
-        assert main(["reconstruct", "--body", body, "--exact", "--grid", "64"]) == 0
+        # the body decides the arithmetic; --exact only asserts it, so every
+        # output but the run_meta.json sidecar is the same without the flag
+        for i, densities in enumerate(([1], ["1/2", "3"])):
+            body = _write_body(
+                tmp_path,
+                {"kind": "trig", "rho2": {"cos": ["9/4"], "sin": [0]}, "densities": densities},
+                f"disk{i}.json",
+            )
+            outs = {}
+            for flags in ([], ["--exact"]):
+                out = tmp_path / f"out{i}{''.join(flags)}"
+                argv = ["reconstruct", "--body", body, "--grid", "64", "--out", str(out)]
+                assert main(argv + flags) == 0
+                outs[tuple(flags)] = {
+                    p.name: p.read_bytes() for p in out.iterdir() if p.name != "run_meta.json"
+                }
+            assert set(outs[()]) == {"reconstruction.json", "rho2.csv"}
+            assert outs[()] == outs[("--exact",)]
 
     def test_excess_degeneracy_exits_two(self, tmp_path):
         # p_0 = q_0 vanishes on a quarter of the grid: over the 5% budget

@@ -8,17 +8,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from radonrange import (
+    InvalidParameterError,
     SupportFunction,
     TangentialData,
     TrigPoly,
     disk,
     falling_factorial,
     falling_factorial_table,
+    hankel_certificate,
     make_ellipse,
     moment,
     moment_oracle,
+    perturb,
+    range_check,
+    synthesize_moments,
 )
-from radonrange.moments import even_moments, battery_uses_samples
+from radonrange.moments import even_moments, has_exact_form
 from tests.conftest import mirrored, random_exact_data
 
 
@@ -215,9 +220,9 @@ class TestEvenMomentPolys:
 
 
 class TestBatteryUsesSamples:
-    """``battery_uses_samples`` says, without computing a moment, whether the
-    range battery will test p_k on its samples: exactly when ``even_moments``
-    gives p_k no exact trig form."""
+    """``has_exact_form`` says, without computing a moment, whether the range
+    battery will test p_k on its samples: exactly when ``even_moments`` gives
+    p_k no trig form (every form it gives is exact)."""
 
     def _bodies(self):
         sampled = SupportFunction.from_samples(mirrored([Fraction(1), Fraction(3, 2)]))
@@ -236,14 +241,40 @@ class TestBatteryUsesSamples:
         for name, data in self._bodies().items():
             n = data.natural_grid_size if data.rho.grid_size else 16
             poly = even_moments(data, [k], n)[0].poly
-            assert battery_uses_samples(data, k) == (poly is None or not poly.is_exact), name
+            uses_samples = not has_exact_form(data, k)
+            assert uses_samples == (poly is None), name
 
     def test_known_bodies(self):
         bodies = self._bodies()
         for name in ("int ellipse m=1", "disk m=3", "trig m=1"):
-            assert not battery_uses_samples(bodies[name], 24), name
+            assert has_exact_form(bodies[name], 24), name
         for name in ("int ellipse m=2", "tilted ellipse m=1", "float disk m=2", "sampled m=1"):
-            assert battery_uses_samples(bodies[name], 24), name
+            assert not has_exact_form(bodies[name], 24), name
+
+
+class TestFloatBodiesCarryNoForm:
+    """A float body's moments are samples alone: moments, the range battery
+    and the Hankel certificate form no trig polynomial product for it."""
+
+    def test_no_form_and_no_trig_product(self, monkeypatch):
+        bodies = {  # name: (data, whether it lies in the Radon range)
+            "tilted ellipse m=1": (TangentialData(make_ellipse(2, 1, 0.3), (1.0,)), True),
+            "float disk m=2": (TangentialData(disk(1.5), (1.0, 0.5)), True),
+            "perturbed disk m=1": (TangentialData(perturb(disk(1), 0.05, 4), (1.0,)), False),
+        }
+
+        def refuse(*args):
+            raise AssertionError("a trig polynomial product was formed")
+
+        for name in ("__mul__", "__rmul__", "__pow__"):
+            monkeypatch.setattr(TrigPoly, name, refuse)
+        for name, (data, in_range) in bodies.items():
+            seq = synthesize_moments(data, 3 * data.m - 2, 64)
+            assert all(p.poly is None for p in seq.entries), name
+            with pytest.raises(InvalidParameterError, match="not a node"):
+                seq.eval(1, 0.1)  # off the grid a float moment has no value
+            assert all(r.verdict for r in range_check(data, 4, n=64)) == in_range, name
+            assert hankel_certificate(data, n=64).verdict, name
 
 
 class TestFloatOverflow:
