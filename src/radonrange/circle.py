@@ -206,19 +206,6 @@ class TrigPoly:
             return float(out)
         return out
 
-    def eval_exact(self, cos_t, sin_t):
-        """Evaluate at the circle point ``(cos_t, sin_t)`` without trig calls.
-
-        Uses the angle-addition recurrence, so rational inputs give an exact
-        rational value.  The caller is responsible for cos_t^2 + sin_t^2 = 1.
-        """
-        total = self.cos_coeffs[0]
-        c_f, s_f = 1, 0  # cos/sin of f*theta, starting at f = 0
-        for f in range(1, self.max_frequency + 1):
-            c_f, s_f = c_f * cos_t - s_f * sin_t, s_f * cos_t + c_f * sin_t
-            total = total + self.cos_coeffs[f] * c_f + self.sin_coeffs[f] * s_f
-        return total
-
     def samples(self, n: int = DEFAULT_GRID_SIZE) -> np.ndarray:
         """Float samples on ``theta_grid(n)``."""
         return self(theta_grid(n))
@@ -368,9 +355,6 @@ class CircleFunction:
     @property
     def is_exact(self) -> bool:
         return self.values.dtype == object
-
-    def grid(self) -> np.ndarray:
-        return theta_grid(self.n)
 
     def as_float(self) -> np.ndarray:
         return np.asarray(self.values, dtype=float)

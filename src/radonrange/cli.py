@@ -6,16 +6,17 @@ demo-disk           sweep chord integrals of the disk density over a
                     (theta, p) grid and compare the induced moments
 verify-identities   run the exact-arithmetic identity suite
 range-check         test the moments of a body file for range membership
-                    (rho and the densities are sampled once for all
-                    orders, and moments.csv reuses those moments)
 reconstruct         recover rho^2 from a body file and certify the ellipse
 perturbation-study  sweep perturbation sizes and tabulate the separation
                     between recurrence residuals and membership failure
 
 Exit codes: 0 success / certified, 1 a check or certification failed,
 2 degeneracy or quadrature failure, 64 configuration or input errors.
-Outputs are deterministic: fixed key order, no timestamps (run metadata
-goes to a ``run_meta.json`` sidecar).
+
+With ``--out DIR`` each command records each value once: per-node data in
+CSV, scalars, verdicts and spectra in one-line JSON with sorted keys (see
+the README's "Outputs"), and run metadata in a ``run_meta.json`` sidecar.
+No output carries a timestamp, so outputs are deterministic.
 """
 
 from __future__ import annotations
@@ -78,7 +79,7 @@ def _write_csv(path: Path, header, blocks) -> None:
 
 
 def _write_json(path: Path, payload) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    path.write_text(json.dumps(payload, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def _out_dir(args) -> Path | None:
@@ -249,10 +250,8 @@ def cmd_reconstruct(args, argv) -> int:
     if out is not None:
         _write_json(out / "reconstruction.json", report.to_dict())
         theta = theta_grid(report.grid_size)[np.asarray(report.indices, dtype=np.intp)]
-        rho2 = np.asarray(report.rho2_values, dtype=float)
-        residual = [_fmt(report.relative_residual)] * len(rho2)
-        block = (_column(theta), _column(rho2), residual)
-        _write_csv(out / "rho2.csv", ("theta", "rho2", "relative_residual"), [block])
+        block = (_column(theta), _column(np.asarray(report.rho2_values, dtype=float)))
+        _write_csv(out / "rho2.csv", ("theta", "rho2"), [block])
         _write_meta(out, argv)
     print(f"verdict: {report.verdict}")
     print(f"max recurrence residual: {report.max_residual:.3e} (scale {report.residual_scale:.3e})")

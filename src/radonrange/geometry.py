@@ -70,6 +70,17 @@ def _constant_samples(value, n: int) -> np.ndarray:
     return out
 
 
+def _even_part(q):
+    """``q`` stored exactly even, once it passed its evenness check: a trig
+    polynomial gets zeros (``c * 0`` keeps its arithmetic) at its odd
+    frequencies, grid samples repeat their first half.  Exact inputs passed
+    with tolerance 0 and keep their values."""
+    if isinstance(q, TrigPoly):
+        return TrigPoly(*(tuple(c * 0 if f % 2 else c for f, c in enumerate(coeffs))
+                          for coeffs in (q.cos_coeffs, q.sin_coeffs)))
+    return np.concatenate([q[: len(q) // 2]] * 2)
+
+
 def _exact_sqrt(c):
     """Exact square root of a nonnegative rational, or None."""
     frac = Fraction(c)
@@ -103,17 +114,19 @@ class SupportFunction:
             v = np.asarray(self.values)
             if v.ndim != 1 or len(v) < 4 or len(v) % 2 != 0:
                 raise InvalidParameterError("sampled rho needs a 1-d array of even length >= 4")
-            object.__setattr__(self, "values", v)
             if any(x <= 0 for x in v):
                 raise PositivityError("sampled support function must be strictly positive")
             if not CircleFunction(v).is_even():
                 raise InvalidParameterError("sampled support function must be even (period pi)")
+            object.__setattr__(self, "values", _even_part(v))
         else:
             poly = self.rho2_poly
             if poly is None:
                 raise InvalidParameterError("trig/ellipse support functions need rho2_poly")
             if not poly.is_even():
                 raise InvalidParameterError("rho^2 must contain even frequencies only")
+            poly = _even_part(poly)
+            object.__setattr__(self, "rho2_poly", poly)
             if _is_exact_constant(poly):  # decided by its sign; a float may overflow
                 nonpositive = poly.cos_coeffs[0] <= 0
             else:
@@ -353,6 +366,7 @@ class TangentialData:
                     )
                 if not CircleFunction(q).is_even():
                     raise InvalidParameterError(f"density q_{j} must be even (period pi)")
+        qs = tuple(map(_even_part, qs))
         if self.minimal and _density_is_zero(qs[-1]):
             raise HypothesisViolatedError(
                 "the top density q_{m-1} vanishes identically; drop it or pass minimal=False"

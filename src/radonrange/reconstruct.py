@@ -67,12 +67,10 @@ class MomentSequence:
     """Even moments p_0, p_2, ..., p_{2K} as functions on the circle.
 
     ``entries[k]`` is p_{2k}.  All entries share one grid and each must be
-    even (period pi).  ``source`` records whether the sequence came from
-    synthetic tangential data or from outside.
+    even (period pi).
     """
 
     entries: tuple
-    source: str = "synthetic"
 
     def __post_init__(self):
         if not self.entries:
@@ -131,7 +129,7 @@ def synthesize_moments(
     if n is None:
         n = data.natural_grid_size
     orders = [2 * k for k in range(max_half_order + 1)]
-    return MomentSequence(tuple(even_moments(data, orders, n, weight=1)), source="synthetic")
+    return MomentSequence(tuple(even_moments(data, orders, n, weight=1)))
 
 
 def _power_system(moment_seq: MomentSequence, m: int, indices: np.ndarray):
@@ -291,6 +289,7 @@ class ReconstructionReport:
         return self.max_residual / max(self.residual_scale, 1e-300)
 
     def to_dict(self) -> dict:
+        """Scalars, verdicts and spectra; ``rho2.csv`` records the per-node values."""
         poly = None
         if self.rho2_poly is not None:
             trimmed = self.rho2_poly.trimmed(1e-12 * max(1.0, self.rho2_poly._scale()))
@@ -301,8 +300,6 @@ class ReconstructionReport:
         return {
             "grid_size": self.grid_size,
             "window": list(self.window) if self.window is not None else None,
-            "indices": [int(i) for i in self.indices],
-            "rho2_values": [float(v) for v in self.rho2_values],
             "rho2_poly": poly,
             "quadratic_verdict": (
                 self.quadratic_verdict.to_dict() if self.quadratic_verdict else None

@@ -148,7 +148,7 @@ def test_hankel_certificate_disk_and_corpus():
     for _ in range(20):
         data = random_exact_data(rng, n=8, m_max=4)
         corpus_cert = hankel_certificate(data)
-        ok = ok and corpus_cert.structure_ok and corpus_cert.exact
+        ok = ok and corpus_cert.verdict and corpus_cert.exact
     _report(
         ok,
         "disk q1-data: det Hankel = -16 at all 512 directions (exact); "

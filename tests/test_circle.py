@@ -41,18 +41,6 @@ def test_product_agrees_with_pointwise_multiplication():
     assert np.allclose((a**3)(thetas), a(thetas) ** 3, atol=1e-12)
 
 
-def test_eval_exact_rational_circle_point():
-    # (cos, sin) = ((1-t^2)/(1+t^2), 2t/(1+t^2)) is on the circle for rational t
-    t = Fraction(1, 3)
-    c = (1 - t * t) / (1 + t * t)
-    s = 2 * t / (1 + t * t)
-    poly = TrigPoly((Fraction(1, 2), 2, Fraction(-3, 4)), (0, 1, Fraction(5, 7)))
-    exact = poly.eval_exact(c, s)
-    assert isinstance(exact, Fraction)
-    theta = math.atan2(float(s), float(c))
-    assert float(exact) == pytest.approx(poly(theta), abs=1e-12)
-
-
 def test_from_samples_round_trip():
     poly = TrigPoly((0.5, 0.0, 1.5, 0.25), (0.0, -0.5, 0.0, 1.0))
     fitted = trig_from_samples(poly.samples(64))

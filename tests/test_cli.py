@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from radonrange import cli, moment, moments, theta_grid
+from radonrange import cli, moment, moments, reconstruct, synthesize_moments, theta_grid
 from radonrange.bodies import load_tangential
 from radonrange.cli import _column, _write_csv, main
 
@@ -13,6 +13,16 @@ def _write_body(tmp_path, doc, name="body.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def _assert_rho2_csv_is_the_report(out, body, grid=512, window=None):
+    """rho2.csv holds theta and rho^2 at the report's nodes, as ``.17g`` text."""
+    data = load_tangential(body)
+    report = reconstruct(synthesize_moments(data, 12, n=grid), data.m, window=window)
+    thetas = theta_grid(grid)
+    rows = [f"{thetas[i]:.17g},{float(v):.17g}"
+            for i, v in zip(report.indices, report.rho2_values)]
+    assert (out / "rho2.csv").read_text().splitlines() == ["theta,rho2", *rows]
 
 
 ELLIPSE = {"kind": "ellipse", "a": 2, "b": 1, "tilt": 0.5, "densities": [1]}
@@ -103,9 +113,7 @@ class TestReconstructCommand:
         assert report["verdict"] == "ellipse"
         matrix = report["ellipse_matrix"]
         assert matrix[0][1] == pytest.approx(matrix[1][0])
-        rho2_csv = (tmp_path / "o" / "rho2.csv").read_text().splitlines()
-        assert rho2_csv[0] == "theta,rho2,relative_residual"
-        assert len(rho2_csv) == 513
+        _assert_rho2_csv_is_the_report(tmp_path / "o", body)
 
     def test_perturbed_is_non_quadratic(self, tmp_path):
         body = _write_body(tmp_path, PERTURBED)
@@ -117,8 +125,9 @@ class TestReconstructCommand:
 
     def test_window_mode(self, tmp_path):
         body = _write_body(tmp_path, ELLIPSE)
+        half_width = 0.3926990816987241
         code = main(
-            ["reconstruct", "--body", body, "--window=-0.3926990816987241:0.3926990816987241",
+            ["reconstruct", "--body", body, f"--window=-{half_width}:{half_width}",
              "--out", str(tmp_path / "o")]
         )
         assert code == 0
@@ -126,6 +135,7 @@ class TestReconstructCommand:
         assert report["verdict"] == "window-only"
         assert report["membership_note"] == "not-locally-testable"
         assert report["quadratic_verdict"] is None
+        _assert_rho2_csv_is_the_report(tmp_path / "o", body, window=(-half_width, half_width))
 
     def test_bad_window_is_config_error(self, tmp_path):
         body = _write_body(tmp_path, ELLIPSE)
@@ -380,3 +390,89 @@ class TestRangeCheckGridBeforeMoments:
     def test_exact_trig_forms_still_pass_at_grid_64(self, tmp_path, doc):
         body = _write_body(tmp_path, doc)
         assert main(["range-check", "--body", body, "--grid", "64", "--K", "12"]) == 0
+
+
+class TestOutputSchema:
+    """Each command writes each value once: per-node data to CSV, scalars,
+    verdicts and spectra to one-line JSON with sorted keys."""
+
+    RUNS = {
+        "demo-disk": (["--grid", "64", "--K", "2"], {
+            "sinogram.csv": "theta,p,value",
+            "moment_check.csv": "k,exact,distributional,mollified,mollified_error",
+            "summary.json": {"checks_passed", "grid", "lines", "max_deviation_inside",
+                             "max_deviation_outside", "tolerance"},
+        }),
+        "verify-identities": (["--m", "2"], {
+            "identities.json": {"disk_certificate", "m_max", "results"},
+        }),
+        "range-check": (["--body", "BODY", "--grid", "64", "--K", "2"], {
+            "moments.csv": "k,theta,value",
+            "range_reports.json": {"allowed_energy", "degree", "forbidden_energy",
+                                   "residual_spectrum", "tol", "verdict"},
+        }),
+        "reconstruct": (["--body", "BODY", "--grid", "64"], {
+            "rho2.csv": "theta,rho2",
+            "reconstruction.json": {"degenerate_indices", "ellipse_matrix", "grid_size",
+                                    "max_residual", "membership_note", "notes",
+                                    "quadratic_verdict", "residual_scale", "rho2_poly",
+                                    "verdict", "window"},
+        }),
+        "perturbation-study": (["--grid", "64"], {
+            "perturbation.csv": "eps,frequency,forbidden_ratio,membership,relative_residual",
+        }),
+    }
+    CERTIFICATE_KEYS = {"arithmetic", "determinants", "grid_size", "m", "max_abs_determinant",
+                        "verdict"}
+
+    def test_files_keys_and_encoding(self, tmp_path):
+        body = _write_body(tmp_path, ELLIPSE)
+        for command, (flags, expected) in self.RUNS.items():
+            out = tmp_path / command
+            argv = [command, *(body if f == "BODY" else f for f in flags), "--out", str(out)]
+            assert main(argv) == 0, command
+            expected = {**expected, "run_meta.json": {"argv", "version"}}
+            assert {p.name for p in out.iterdir()} == set(expected), command
+            for name, schema in expected.items():
+                text = (out / name).read_text(encoding="utf-8")
+                if name.endswith(".csv"):
+                    assert text.splitlines()[0] == schema, name
+                    continue
+                payload = json.loads(text)
+                assert text == json.dumps(payload, sort_keys=True) + "\n", name
+                for record in payload if isinstance(payload, list) else [payload]:
+                    assert set(record) == schema, name
+        identities = json.loads((tmp_path / "verify-identities" / "identities.json").read_text())
+        certificate = identities["disk_certificate"]
+        assert set(certificate) == self.CERTIFICATE_KEYS
+        assert certificate["max_abs_determinant"] == "16"  # exact, as text
+
+
+def _sampled_ellipse(offset):
+    """rho of the a = 4, b = 1 ellipse at n = 256, ``offset`` added to the second half."""
+    n = 256
+    thetas = theta_grid(n)
+    rho = np.sqrt(16 * np.cos(thetas) ** 2 + np.sin(thetas) ** 2)
+    rho[n // 2:] += offset
+    densities = [{"cos": [1 + 0.1 * j, 0, 0.2]} for j in range(2)]
+    return {"kind": "sampled", "values": rho.tolist(), "m": 2, "densities": densities}
+
+
+class TestEvenWithinTolerance:
+    """A body that passes the evenness check is stored exactly even, so the
+    odd part it was allowed cannot grow in the moments' powers."""
+
+    @pytest.mark.parametrize("doc", [
+        _sampled_ellipse(5e-10),
+        {"kind": "trig", "rho2": {"cos": [2, 5e-10, 0.5]}, "m": 2,
+         "densities": [1, {"cos": [1, 0, 0.2]}]},
+    ], ids=["sampled", "trig"])
+    def test_certifies(self, tmp_path, doc, capsys):
+        body = _write_body(tmp_path, doc)
+        assert main(["reconstruct", "--body", body]) == 0
+        assert "verdict: ellipse" in capsys.readouterr().out
+
+    def test_outside_the_tolerance_is_an_input_error(self, tmp_path, capsys):
+        body = _write_body(tmp_path, _sampled_ellipse(1e-6))
+        assert main(["reconstruct", "--body", body]) == 64
+        assert "sampled support function must be even" in capsys.readouterr().err

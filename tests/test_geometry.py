@@ -166,6 +166,26 @@ class TestTangentialData:
         assert not inexact.is_exact  # rho itself is irrational on the grid
 
 
+class TestStoredExactlyEven:
+    """Inputs within the evenness tolerance are stored exactly even."""
+
+    def test_sampled_values_copy_their_first_half(self):
+        values = np.array([1.0, 2.0, 3.0, 1.0 + 1e-12, 2.0, 3.0 - 1e-12])
+        body = SupportFunction.from_samples(values)
+        assert body.values.tolist() == [1.0, 2.0, 3.0] * 2
+        assert values[3] == 1.0 + 1e-12  # the caller's array is left alone
+        data = TangentialData(body, (values,))
+        assert data.densities[0].tolist() == [1.0, 2.0, 3.0] * 2
+
+    def test_float_polys_lose_their_odd_frequencies(self):
+        poly = TrigPoly((2.0, 5e-10, 0.5), (0.0, -5e-10, 0.25))
+        body = SupportFunction.from_rho2_poly(poly)
+        assert body.rho2_poly.cos_coeffs == (2.0, 0.0, 0.5)
+        assert body.rho2_poly.sin_coeffs == (0.0, 0.0, 0.25)
+        data = TangentialData(body, (poly,))
+        assert data.densities[0] == body.rho2_poly
+
+
 def test_positivity_check_trips_exactly_at_zero_crossing():
     # 1 + cos(2 theta) touches zero: rejected; adding margin passes
     with pytest.raises(PositivityError):

@@ -75,8 +75,7 @@ def _constant_moments(values, scalar):
     """External moments p_{2k} = values[k] at each of 8 nodes, as ``scalar``s."""
     dtype = object if scalar is Fraction else float
     return MomentSequence(
-        tuple(CircleFunction(np.full(8, scalar(v), dtype=dtype)) for v in values),
-        source="external",
+        tuple(CircleFunction(np.full(8, scalar(v), dtype=dtype)) for v in values)
     )
 
 
@@ -213,7 +212,7 @@ class TestReconstruct:
         p0[::4] = 0.0  # a quarter of the directions are degenerate
         p0[2::4] = 0.0
         entries = (CircleFunction(p0), CircleFunction(np.ones(n)))
-        seq = MomentSequence(entries, source="external")
+        seq = MomentSequence(entries)
         with pytest.raises(ReconstructionFailedError):
             reconstruct(seq, 1)
 
@@ -227,7 +226,7 @@ class TestReconstruct:
         )
         with pytest.raises(NotInModelError):
             # rho^2 <= 0 somewhere: flagged as not-in-model
-            reconstruct(MomentSequence(entries, source="external"), 1)
+            reconstruct(MomentSequence(entries), 1)
 
 
 class TestMomentSequenceValidation:
@@ -235,13 +234,12 @@ class TestMomentSequenceValidation:
         with pytest.raises(InvalidParameterError):
             MomentSequence(
                 (CircleFunction(np.ones(8)), CircleFunction(np.ones(16))),
-                source="external",
             )
 
     def test_entries_must_be_even(self):
         thetas = theta_grid(8)
         with pytest.raises(InvalidParameterError):
-            MomentSequence((CircleFunction(np.cos(thetas)),), source="external")
+            MomentSequence((CircleFunction(np.cos(thetas)),))
 
     def test_indexing(self):
         data = TangentialData(disk(1), (1,))
@@ -333,8 +331,8 @@ def _reference_reconstruct(seq, m):
     return (filled, tuple(degenerate), *residual)
 
 
-def _external(rows, source="external"):
-    return MomentSequence(tuple(CircleFunction(np.asarray(r, float)) for r in rows), source=source)
+def _external(rows):
+    return MomentSequence(tuple(CircleFunction(np.asarray(r, float)) for r in rows))
 
 
 def _double_root_moments(n, lam):
