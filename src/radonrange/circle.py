@@ -24,6 +24,10 @@ DEFAULT_GRID_SIZE = 512
 #: angle offset below which a float theta is considered to lie on a grid node
 GRID_MATCH_TOL = 1e-9
 
+#: default relative-energy tolerance of the membership test on float input;
+#: exact input is held to exact zeros at forbidden frequencies
+DEFAULT_TOL = 1e-8
+
 
 def theta_grid(n: int = DEFAULT_GRID_SIZE) -> np.ndarray:
     """Uniform angle grid ``theta_i = 2*pi*i/n`` on ``[0, 2*pi)``.
@@ -97,8 +101,8 @@ class TrigPoly:
 
     ``cos_coeffs[f]`` holds a_f (index 0 is the constant term) and
     ``sin_coeffs[f]`` holds b_f; both tuples have the same length and
-    ``sin_coeffs[0]`` is fixed to zero.  Products and powers are computed
-    with the product-to-sum identities, so polynomials with rational
+    ``sin_coeffs[0]`` is fixed to zero.  Products are computed with the
+    product-to-sum identities, so polynomials with rational
     coefficients stay exact under arithmetic.
     """
 
@@ -278,14 +282,6 @@ class TrigPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int) -> "TrigPoly":
-        if not isinstance(k, Rational) or k != int(k) or k < 0:
-            raise InvalidParameterError("powers of trig polynomials need integer k >= 0")
-        out = TrigPoly.constant(1)
-        for _ in range(int(k)):
-            out = out * self
-        return out
-
     # -- spectra ------------------------------------------------------
 
     def energy(self) -> np.ndarray:
@@ -315,10 +311,15 @@ def _fourier_coeffs(values) -> tuple:
 def trig_from_samples(values: np.ndarray) -> TrigPoly:
     """Trigonometric interpolant of samples on the uniform grid.
 
-    For band-limited data (maximal frequency < n/2) this recovers the
+    Exact samples (object dtype) that are all equal give the exact constant
+    polynomial; any other samples are interpolated in floats.  For
+    band-limited data (maximal frequency < n/2) this recovers the
     coefficients exactly up to FFT round-off.  At the Nyquist frequency only
     the cosine component is observable and it is returned undoubled.
     """
+    values = np.asarray(values)
+    if values.dtype == object and len(set(values.tolist())) == 1:
+        return TrigPoly.constant(values[0])
     a, b = _fourier_coeffs(values)
     return TrigPoly(tuple(a.tolist()), tuple(b.tolist()))
 

@@ -239,11 +239,10 @@ def cmd_reconstruct(args, argv) -> int:
     window = _parse_window(args.window)
     data = load_tangential(_body_path(args))
     _check_exact_mode(args, data)
-    m = args.m if args.m is not None else data.m
     n = data.rho.grid_size or args.grid
     try:
-        seq = synthesize_moments(data, max(args.K, 3 * data.m - 2, 2 * m - 1), n=n)
-        report = reconstruct(seq, m, window=window, tol=args.tol)
+        seq = synthesize_moments(data, max(args.K, 3 * data.m - 2), n=n)
+        report = reconstruct(seq, data.m, window=window, tol=args.tol)
     except (DegeneratePointError, NotInModelError, ReconstructionFailedError) as exc:
         print(f"reconstruction degenerate: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
@@ -341,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     flags = {
         "--grid": dict(type=int, default=512, help="theta grid size (power of two)"),
         "--K": dict(type=int, default=12, help="maximum half-order of moments"),
-        "--m": dict(type=int, default=None, help="number of densities"),
+        "--m": dict(type=int, default=6, help="largest density count m to verify"),
         "--tol": dict(type=float, default=1e-8, help="relative tolerance"),
         "--out": dict(default=None, help="output directory"),
         "--exact": dict(action="store_true", help="require exact rational arithmetic"),
@@ -358,14 +357,13 @@ def build_parser() -> argparse.ArgumentParser:
         ("range-check", "range membership of a body's moments",
          ("--body", "--grid", "--K", "--tol", "--exact", "--out")),
         ("reconstruct", "recover rho^2 and certify the ellipse",
-         ("--body", "--grid", "--K", "--m", "--tol", "--exact", "--window", "--out")),
+         ("--body", "--grid", "--K", "--tol", "--exact", "--window", "--out")),
         ("perturbation-study", "separation of identities vs membership",
          ("--grid", "--K", "--tol", "--eps", "--frequency", "--out")),
     ):
         p = sub.add_parser(name, help=summary)
         for flag in used:
             p.add_argument(flag, **flags[flag])
-    sub.choices["verify-identities"].set_defaults(m=6)
     return parser
 
 
@@ -384,7 +382,7 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         args = _PARSER.parse_args(argv)
-        if getattr(args, "m", None) is not None and args.m < 1:
+        if getattr(args, "m", 1) < 1:
             raise _UsageError("--m must be >= 1")
         if not 0 < getattr(args, "tol", 1.0) < math.inf:
             raise _UsageError("--tol must be positive and finite")

@@ -31,6 +31,7 @@ import numpy as np
 
 from .circle import (
     DEFAULT_GRID_SIZE,
+    DEFAULT_TOL,
     CircleFunction,
     TrigPoly,
     grid_index,
@@ -275,31 +276,20 @@ def perturb(rho: SupportFunction, eps, frequency: int) -> SupportFunction:
     return SupportFunction.from_rho2_poly((rho.rho2_poly + bump).trimmed())
 
 
-def fit_quadratic_form(rho2: TrigPoly, tol: float | None = None) -> np.ndarray | None:
+def fit_quadratic_form(rho2: TrigPoly, tol: float = DEFAULT_TOL) -> np.ndarray | None:
     """Recover M with omega . M omega = rho^2 on the circle, if possible.
 
-    Returns None when rho2 carries energy outside frequencies {0, 2} above
-    ``tol`` (relative to total energy; exact polynomials require exact
-    zeros).  Raises :class:`CertificateError` when rho2 is quadratic but M
-    is not positive definite, i.e. rho2 is not the squared support function
-    of any body.
+    Returns None exactly when rho2 fails
+    :func:`~radonrange.rangetest.is_homogeneous_restriction` at degree 2
+    and ``tol``.  Raises :class:`CertificateError` when rho2 is quadratic
+    but M is not positive definite, i.e. rho2 is not the squared support
+    function of any body.
     """
+    from .rangetest import is_homogeneous_restriction  # rangetest imports this module
+
     if not rho2.is_even():
         raise InvalidParameterError("rho^2 must be even")
-    if tol is None:
-        tol = 0.0 if rho2.is_exact else 1e-8
-    energy = rho2.energy()
-    total = float(energy.sum())
-    outside = total - float(energy[0]) - (float(energy[2]) if len(energy) > 2 else 0.0)
-    if rho2.is_exact:
-        clean = all(
-            rho2.cos_coeffs[f] == 0 and rho2.sin_coeffs[f] == 0
-            for f in range(1, rho2.max_frequency + 1)
-            if f != 2
-        )
-        if not clean:
-            return None
-    elif outside > tol * total:
+    if not is_homogeneous_restriction(rho2, 2, tol).verdict:
         return None
     c0 = rho2.cos_coeffs[0]
     a2, b2 = rho2.coefficient(2)

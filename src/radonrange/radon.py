@@ -29,24 +29,11 @@ from .moments import moment
 class LineParam:
     """The line ``x . omega = p`` with unit normal ``omega = (cos theta, sin theta)``.
 
-    (theta, p) and (theta + pi, -p) denote the same line; ``canonical``
-    picks the representative with theta in [0, pi).
+    (theta, p) and (theta + pi, -p) denote the same line.
     """
 
     theta: float
     p: float
-
-    def canonical(self) -> "LineParam":
-        theta = self.theta % (2.0 * math.pi)
-        p = self.p
-        if theta >= math.pi:
-            theta -= math.pi
-            p = -p
-        return LineParam(theta, p)
-
-    def same_line(self, other: "LineParam", tol: float = 1e-12) -> bool:
-        a, b = self.canonical(), other.canonical()
-        return abs(a.theta - b.theta) <= tol and abs(a.p - b.p) <= tol
 
 
 def disk_density(x1, x2):

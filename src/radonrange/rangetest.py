@@ -5,8 +5,29 @@ polynomial of degree k exactly when it is a trigonometric polynomial whose
 frequencies all lie in {k, k-2, ..., k mod 2}: on the circle
 ``cos(f theta)`` and ``sin(f theta)`` are degree-f homogeneous forms in
 omega, and multiplying by ``|omega|^2 = 1`` raises the degree by two
-without changing the restriction.  Membership is decided by splitting the
-Fourier energy of the samples into allowed and forbidden frequencies.
+without changing the restriction.  :func:`is_homogeneous_restriction` is
+the one rule that decides it, in the arithmetic of its input:
+
+* a trigonometric polynomial is read off its coefficients: an exact one
+  needs exact zeros at every forbidden frequency, a float one passes when
+  the forbidden share of its energy is at most ``tol``;
+* float samples are judged the same way on the energy of their FFT
+  interpolant;
+* exact (rational) samples are decided exactly.  The discrete Fourier
+  coefficients c_f of rational samples on n nodes lie in Q(zeta_n), and
+  the Galois map zeta -> zeta^a (a prime to n) sends c_f to c_{af}, so
+  c_f = 0 iff c_{af} = 0: the nonzero frequencies are a union of the
+  orbits {f : gcd(f, n) = n/j}, j dividing n.  With n >= 4k + 4 for
+  degree k, every orbit other than {0} and {n/6, 5n/6} holds a frequency
+  f with min(f, n - f) > k, which is forbidden.  Constant samples are
+  therefore judged as the exact constant, and non-constant ones fail,
+  unless 6 divides n and n/6 is an allowed frequency (cos 2 theta on 12
+  nodes is rational): membership is then not decided, and the test raises
+  :class:`~radonrange.errors.InvalidParameterError`.  On power-of-two
+  grids it never does.
+
+Energies and the residual spectrum are float data in every case; for
+exact input they report, but do not decide, the verdict.
 
 A tangential distribution is in the Radon transform range precisely when
 every even moment passes this test at the matching degree;
@@ -21,14 +42,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circle import CircleFunction, TrigPoly, fourier_energy
+from .circle import DEFAULT_TOL, CircleFunction, TrigPoly, fourier_energy, trig_from_samples
 from .errors import InvalidParameterError
 from .geometry import TangentialData
 from .moments import even_moments
-
-#: default relative-energy tolerance for float inputs; exact inputs require
-#: exact zeros at forbidden frequencies
-DEFAULT_TOL = 1e-8
 
 #: cap on how many forbidden frequencies the report lists
 _SPECTRUM_CAP = 16
@@ -74,44 +91,46 @@ def is_homogeneous_restriction(h, degree: int, tol: float = DEFAULT_TOL) -> Memb
     """Test whether ``h`` restricts from a homogeneous polynomial of ``degree``.
 
     ``h`` may be uniform samples, a :class:`CircleFunction` or a
-    :class:`TrigPoly`.  Exact trigonometric polynomials are held to exact
-    zeros on forbidden frequencies; sampled input needs at least
-    ``4 * degree + 4`` samples so the decisive frequencies are resolved.
+    :class:`TrigPoly`, and is judged in its own arithmetic (see the module
+    docstring): a trigonometric polynomial on its coefficients, float
+    samples on the energy of their interpolant, and exact samples exactly.
+    Samples need at least ``4 * degree + 4`` entries so the decisive
+    frequencies are resolved.  Raises :class:`InvalidParameterError` for
+    non-constant exact samples when ``n / 6`` is an allowed frequency.
     """
     if degree < 0:
         raise InvalidParameterError("degree must be nonnegative")
-    exact_poly = None
     if isinstance(h, CircleFunction):
-        if h.poly is not None and h.poly.is_exact:
-            exact_poly = h.poly
-        else:
-            h = h.as_float()
-    if isinstance(h, TrigPoly):
-        if h.is_exact:
-            exact_poly = h
-        else:
-            h = h.samples(max(4 * degree + 4 + (4 * degree + 4) % 2, 2 * h.max_frequency + 2))
-
-    if exact_poly is not None:
-        energy = exact_poly.energy()
-    else:
-        samples = np.asarray(h, dtype=float)
+        h = h.poly if h.poly is not None and h.poly.is_exact else h.values
+    rational_samples = False  # exact, non-constant samples
+    if not isinstance(h, TrigPoly):
+        samples = np.asarray(h)
         if samples.ndim != 1:
             raise InvalidParameterError("samples must be one-dimensional")
-        if len(samples) < 4 * degree + 4:
+        n = len(samples)
+        if n < 4 * degree + 4:
             raise InvalidParameterError(
-                f"need at least {4 * degree + 4} samples for degree {degree}, got {len(samples)}"
+                f"need at least {4 * degree + 4} samples for degree {degree}, got {n}"
             )
-        energy = fourier_energy(samples)
+        if samples.dtype == object:
+            h = trig_from_samples(samples)  # exact iff the samples are constant
+            rational_samples = not h.is_exact
+            if rational_samples and n % 6 == 0 and n // 6 in allowed_frequencies(degree):
+                raise InvalidParameterError(
+                    f"exact samples on {n} nodes can carry the allowed frequency {n // 6}; "
+                    f"membership at degree {degree} is not decided"
+                )
+    energy = h.energy() if isinstance(h, TrigPoly) else fourier_energy(samples)
     freqs = np.arange(len(energy))
     mask = (freqs <= degree) & (freqs % 2 == degree % 2)  # allowed_frequencies(degree)
     allowed_energy = float(energy[mask].sum())
     forbidden_energy = float(energy[~mask].sum())
     total = allowed_energy + forbidden_energy
-    if exact_poly is not None:
+    if rational_samples:
+        verdict = False
+    elif isinstance(h, TrigPoly) and h.is_exact:
         verdict = all(
-            exact_poly.cos_coeffs[f] == 0 and exact_poly.sin_coeffs[f] == 0
-            for f in freqs[~mask].tolist()
+            h.cos_coeffs[f] == 0 and h.sin_coeffs[f] == 0 for f in freqs[~mask].tolist()
         )
     else:
         verdict = forbidden_energy <= tol * total

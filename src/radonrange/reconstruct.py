@@ -11,7 +11,9 @@ at once; a solution is accepted only when the powers are consistent
 (u_i = u_1^i), and rho^2 = u_1 must be positive.  Running the solve over
 the grid, testing the result for membership in the degree-2 homogeneous
 polynomials, and fitting the quadratic form certifies whether the body is
-an ellipse.  A window restricts the solve to an arc of directions; the
+an ellipse.  The membership test reads rho^2 in the arithmetic of the
+solve, so exact rho^2 is decided exactly, and an exact disk gets an exact
+matrix.  A window restricts the solve to an arc of directions; the
 global membership test is then explicitly not locally testable and is
 skipped.
 
@@ -30,7 +32,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -268,7 +269,6 @@ class ReconstructionReport:
     rho2_values: np.ndarray
     rho2_poly: TrigPoly | None
     quadratic_verdict: MembershipReport | None
-    membership_note: str | None
     ellipse_matrix: np.ndarray | None
     max_residual: float
     residual_scale: float
@@ -283,6 +283,10 @@ class ReconstructionReport:
         if self.ellipse_matrix is not None:
             return "ellipse"
         return "non-quadratic"
+
+    @property
+    def membership_note(self) -> str | None:
+        return None if self.window is None else "not-locally-testable"
 
     @property
     def relative_residual(self) -> float:
@@ -320,15 +324,13 @@ class ReconstructionReport:
 
 def _fill_gaps(values: np.ndarray, solved: np.ndarray) -> np.ndarray:
     """Fill unsolved nodes by averaging the nearest solved neighbors (circular)."""
-    out = values.copy()
-    n = len(values)
-    missing = np.nonzero(~solved)[0]
     solved_idx = np.nonzero(solved)[0]
-    half = Fraction(1, 2) if values.dtype == object else 0.5
-    for i in missing:
-        fwd = solved_idx[np.argmin((solved_idx - i) % n)]
-        back = solved_idx[np.argmin((i - solved_idx) % n)]
-        out[i] = half * (values[fwd] + values[back])
+    missing = np.nonzero(~solved)[0]
+    after = np.searchsorted(solved_idx, missing)
+    fwd = solved_idx[after % len(solved_idx)]
+    back = solved_idx[after - 1]  # index -1 wraps to the last solved node
+    out = values.copy()
+    out[missing] = (values[fwd] + values[back]) / 2
     return out
 
 
@@ -397,22 +399,16 @@ def reconstruct(
         residual_scale = float(np.fmax.reduce(scale, initial=residual_scale))
 
     quadratic_verdict = None
-    membership_note = None
     ellipse_matrix = None
     rho2_poly = None
     if window is None:
-        rho2_float = np.asarray(rho2, dtype=float)
-        quadratic_verdict = is_homogeneous_restriction(rho2_float, 2, tol)
-        rho2_poly = trig_from_samples(rho2_float)
+        quadratic_verdict = is_homogeneous_restriction(rho2, 2, tol)
+        rho2_poly = trig_from_samples(rho2)
         if quadratic_verdict.verdict:
             try:
                 ellipse_matrix = fit_quadratic_form(rho2_poly, tol)
             except CertificateError:
                 notes.append("rho^2 is quadratic but the form is not positive definite")
-        if ellipse_matrix is None and quadratic_verdict.verdict and not notes:
-            notes.append("quadratic fit returned no matrix")
-    else:
-        membership_note = "not-locally-testable"
 
     return ReconstructionReport(
         grid_size=n,
@@ -420,7 +416,6 @@ def reconstruct(
         rho2_values=rho2,
         rho2_poly=rho2_poly,
         quadratic_verdict=quadratic_verdict,
-        membership_note=membership_note,
         ellipse_matrix=ellipse_matrix,
         max_residual=max_residual,
         residual_scale=residual_scale,
@@ -432,15 +427,13 @@ def reconstruct(
 
 def reconstruct_from_data(
     data: TangentialData,
-    m: int | None = None,
     max_half_order: int | None = None,
     window: tuple | None = None,
     tol: float = 1e-8,
 ) -> ReconstructionReport:
-    """Convenience wrapper: synthesize moments from data, then reconstruct."""
-    if m is None:
-        m = data.m
+    """Convenience wrapper: synthesize moments from data, then reconstruct
+    with the data's density count ``m``."""
     if max_half_order is None:
-        max_half_order = max(3 * data.m - 2, 2 * m - 1, 6)
+        max_half_order = max(3 * data.m - 2, 6)
     seq = synthesize_moments(data, max_half_order)
-    return reconstruct(seq, m, window=window, tol=tol)
+    return reconstruct(seq, data.m, window=window, tol=tol)

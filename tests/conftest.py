@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from radonrange import SupportFunction, TangentialData, TrigPoly, make_ellipse
 
@@ -40,6 +41,23 @@ def random_exact_data(rng, n=8, m=None, m_max=4):
     if all(x == 0 for x in densities[-1]):
         densities[-1][0] = densities[-1][n // 2] = Fraction(1)
     return TangentialData(rho, tuple(densities))
+
+
+#: even grid sizes up to 64 that resolve degree 2 (n >= 12) and that 6 does
+#: not divide, so exact samples on them always have a decided membership
+GRIDS_PRIME_TO_6 = [n for n in range(12, 65, 2) if n % 6]
+
+
+@st.composite
+def near_constant_fractions(draw, length):
+    """``length`` positive rationals: one value, with up to three entries
+    moved by p / 10^k (k <= 9), so constant, nearly constant and clearly
+    non-constant lists all occur."""
+    base = Fraction(draw(st.integers(1, 9)), draw(st.integers(1, 9)))
+    values = [base] * length
+    for i in draw(st.lists(st.integers(0, length - 1), max_size=3)):
+        values[i] += Fraction(draw(st.integers(1, 9)), 10 ** draw(st.integers(0, 9)))
+    return values
 
 
 def random_ellipse(rng):

@@ -38,7 +38,6 @@ def test_product_agrees_with_pointwise_multiplication():
     assert np.allclose((a * b)(thetas), a(thetas) * b(thetas), atol=1e-13)
     assert np.allclose((a + b)(thetas), a(thetas) + b(thetas), atol=1e-13)
     assert np.allclose((a - b)(thetas), a(thetas) - b(thetas), atol=1e-13)
-    assert np.allclose((a**3)(thetas), a(thetas) ** 3, atol=1e-12)
 
 
 def test_from_samples_round_trip():

@@ -188,6 +188,24 @@ class TestReconstructCommand:
         assert report["grid_size"] == 128
 
 
+class TestExactMembership:
+    def test_nearly_round_rational_body_is_not_an_ellipse(self, tmp_path):
+        values = ["1"] * 64
+        values[5] = values[37] = "100001/100000"
+        body = _write_body(tmp_path, {"kind": "sampled", "values": values, "densities": [1]})
+        assert main(["reconstruct", "--body", body, "--exact", "--grid", "64"]) == 1
+        assert main(["range-check", "--body", body, "--exact", "--K", "3", "--grid", "64"]) == 1
+
+    def test_undecided_membership_is_refused(self, tmp_path, capsys):
+        # rho = 2 + cos(2 theta) on 12 nodes: rho^2 and p_2 are rational and
+        # not constant, and n / 6 = 2 is an allowed frequency at degree 2
+        values = ["3", "5/2", "3/2", "1", "3/2", "5/2"] * 2
+        body = _write_body(tmp_path, {"kind": "sampled", "values": values, "densities": [1]})
+        assert main(["reconstruct", "--body", body, "--exact"]) == 64
+        assert main(["range-check", "--body", body, "--exact", "--K", "1"]) == 64
+        assert capsys.readouterr().err.count("membership at degree 2 is not decided") == 2
+
+
 class TestPerturbationStudy:
     def test_separation_holds(self, tmp_path, capsys):
         code = main(["perturbation-study", "--grid", "64", "--out", str(tmp_path)])
@@ -220,6 +238,7 @@ class TestUsageErrors:
         ("range-check", ["--m", "2"]),
         ("perturbation-study", ["--m", "2"]),
         ("perturbation-study", ["--exact"]),
+        ("reconstruct", ["--m", "2"]),
     ])
     def test_flag_the_command_does_not_read(self, command, flag, capsys):
         assert main([command, *flag]) == 64

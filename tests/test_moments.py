@@ -137,8 +137,16 @@ def test_moment_grid_defaults_to_natural_size():
     assert moment(data, 2).n == 4
 
 
+def _power(poly, e):
+    """``poly ** e`` by repeated multiplication."""
+    out = TrigPoly.constant(1)
+    for _ in range(e):
+        out = out * poly
+    return out
+
+
 def _reference_poly(data, k, weight=2):
-    """p_k's trig form term by term, every power of rho from ``TrigPoly.__pow__``."""
+    """p_k's trig form term by term, every power of rho by repeated products."""
     rho = data.rho
     poly = TrigPoly.zero()
     for j in range(min(data.m, k + 1)):
@@ -146,9 +154,9 @@ def _reference_poly(data, k, weight=2):
         if s == 0:
             rho_pow = TrigPoly.constant(1)
         elif s % 2 == 0 and rho.rho2_poly is not None:
-            rho_pow = rho.rho2_poly ** (s // 2)
+            rho_pow = _power(rho.rho2_poly, s // 2)
         elif rho.rho_poly is not None:
-            rho_pow = rho.rho_poly**s
+            rho_pow = _power(rho.rho_poly, s)
         else:
             return None
         q_poly = data.density_poly(j)
@@ -266,7 +274,7 @@ class TestFloatBodiesCarryNoForm:
         def refuse(*args):
             raise AssertionError("a trig polynomial product was formed")
 
-        for name in ("__mul__", "__rmul__", "__pow__"):
+        for name in ("__mul__", "__rmul__"):
             monkeypatch.setattr(TrigPoly, name, refuse)
         for name, (data, in_range) in bodies.items():
             seq = synthesize_moments(data, 3 * data.m - 2, 64)

@@ -14,14 +14,6 @@ from radonrange import (
 )
 
 
-class TestLineParam:
-    def test_canonical_identifies_antipodes(self):
-        a = LineParam(0.7, 0.3)
-        b = LineParam(0.7 + math.pi, -0.3)
-        assert a.same_line(b)
-        assert not a.same_line(LineParam(0.7, -0.3))
-
-
 class TestChordIntegral:
     def test_interior_chords_integrate_to_one(self):
         for p in (0.0, 0.5, -0.5, 0.9):

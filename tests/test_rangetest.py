@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from radonrange import (
     InvalidParameterError,
@@ -19,7 +21,7 @@ from radonrange import (
 )
 from radonrange.circle import fourier_energy
 from radonrange.rangetest import allowed_frequencies
-from tests.conftest import random_exact_data
+from tests.conftest import GRIDS_PRIME_TO_6, near_constant_fractions, random_exact_data
 
 
 def _sample_homogeneous(rng, degree, n):
@@ -93,6 +95,40 @@ class TestMembership:
 
     def test_zero_function_passes(self):
         assert is_homogeneous_restriction(np.zeros(32), 2).verdict
+
+    def test_float_polynomial_is_judged_on_its_coefficients(self):
+        h = TrigPoly.from_terms(cos={0: 1.0, 2: 0.5, 3: 0.25}, sin={5: 0.125})
+        report = is_homogeneous_restriction(h, 2)
+        assert (report.allowed_energy, report.forbidden_energy) == (1.25, 0.078125)
+        assert report.residual_spectrum == {3: 0.25, 5: 0.125}
+        assert not report.verdict
+
+
+def _exact(values):
+    return np.array([Fraction(v) for v in values], dtype=object)
+
+
+class TestExactSamples:
+    """Exact samples are decided by the orbit argument of the module
+    docstring, never by a float energy."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_pass_iff_constant_and_degree_even(self, data):
+        n = data.draw(st.sampled_from(GRIDS_PRIME_TO_6))
+        values = data.draw(near_constant_fractions(n))
+        degree = data.draw(st.integers(0, (n - 4) // 4))
+        report = is_homogeneous_restriction(_exact(values), degree)
+        assert report.verdict == (len(set(values)) == 1 and degree % 2 == 0)
+
+    def test_a_rational_frequency_n_over_6_is_refused(self):
+        cos2 = _exact(["1", "1/2", "-1/2", "-1", "-1/2", "1/2"] * 2)  # cos 2 theta, n = 12
+        with pytest.raises(InvalidParameterError, match="allowed frequency 2"):
+            is_homogeneous_restriction(cos2, 2)
+        assert not is_homogeneous_restriction(cos2, 1).verdict  # 2 is not allowed at degree 1
+        constant = _exact(["7/3"] * 12)
+        assert is_homogeneous_restriction(constant, 2).verdict
+        assert not is_homogeneous_restriction(constant, 1).verdict
 
 
 class TestRangeCheck:

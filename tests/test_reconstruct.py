@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from radonrange import (
     CircleFunction,
@@ -27,7 +29,13 @@ from radonrange import (
 from radonrange import exactla
 from radonrange.errors import SingularMatrixError
 from radonrange.reconstruct import _solve_at_index
-from tests.conftest import mirrored, random_ellipse, smooth_densities
+from tests.conftest import (
+    GRIDS_PRIME_TO_6,
+    mirrored,
+    near_constant_fractions,
+    random_ellipse,
+    smooth_densities,
+)
 
 
 class TestSynthesizeMoments:
@@ -227,6 +235,23 @@ class TestReconstruct:
         with pytest.raises(NotInModelError):
             # rho^2 <= 0 somewhere: flagged as not-in-model
             reconstruct(MomentSequence(entries), 1)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_exact_sampled_body_is_an_ellipse_iff_rho2_is_constant(data):
+    n = data.draw(st.sampled_from(GRIDS_PRIME_TO_6))
+    half = data.draw(near_constant_fractions(n // 2))
+    m = data.draw(st.integers(1, 2))
+    body = SupportFunction.from_samples(mirrored(half))
+    report = reconstruct_from_data(TangentialData(body, tuple(range(1, m + 1))))
+    if len(set(half)) == 1:
+        assert report.verdict == "ellipse"
+        rho2 = half[0] ** 2
+        assert report.ellipse_matrix.dtype == object
+        assert (report.ellipse_matrix == np.array([[rho2, 0], [0, rho2]], dtype=object)).all()
+    else:
+        assert report.verdict == "non-quadratic"
 
 
 class TestMomentSequenceValidation:
