@@ -128,6 +128,8 @@ class SupportFunction:
                 raise InvalidParameterError("rho^2 must contain even frequencies only")
             poly = _even_part(poly)
             object.__setattr__(self, "rho2_poly", poly)
+            if self.kind == "ellipse":  # make_ellipse refuses a, b <= 0; floats may cancel
+                return
             if _is_exact_constant(poly):  # decided by its sign; a float may overflow
                 nonpositive = poly.cos_coeffs[0] <= 0
             else:
@@ -420,7 +422,8 @@ class TangentialData:
 
 
 def evenness_defect(rho: SupportFunction, n: int = DEFAULT_GRID_SIZE) -> float:
-    """max over the grid of |rho(theta) - rho(theta + pi)| (0 for closed forms)."""
+    """max over the grid of |rho(theta) - rho(theta + pi)|: 0.0 for a sampled
+    body, which is stored exactly even; the round-off of a closed form."""
     if rho.kind == "sampled":
         n = len(rho.values)
     vals = np.asarray(rho.rho_samples(n), dtype=float)

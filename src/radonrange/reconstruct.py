@@ -7,9 +7,12 @@ u_i = rho^(2i): the m residual equations
 
 form an m x m system whose matrix is the moment Hankel matrix up to column
 reversal and binomial scalings.  Solving it returns every power of rho^2
-at once; a solution is accepted only when the powers are consistent
-(u_i = u_1^i), and rho^2 = u_1 must be positive.  Running the solve over
-the grid, testing the result for membership in the degree-2 homogeneous
+at once, and rho^2 = u_1 must be positive.  The recurrence rows at
+rho^2 = u_1 are the one model check: rows r < m vanish exactly when
+u_i = u_1^i, so they decide, and all rows r = 0..K-m are reported.  A
+residual moves like the noise in the moments; the split u_i - u_1^i of
+an m-fold root moves like its m-th root.  Running the solve over the grid,
+testing the result for membership in the degree-2 homogeneous
 polynomials, and fitting the quadratic form certifies whether the body is
 an ellipse.  The membership test reads rho^2 in the arithmetic of the
 solve, so exact rho^2 is decided exactly, and an exact disk gets an exact
@@ -21,11 +24,11 @@ One solve kernel serves both arithmetics and a single node is a grid of
 one.  In float arithmetic the systems of all nodes are stacked into one
 (N, m, m) array that is conditioned and solved at once; in exact
 (rational) arithmetic the system is solved once per distinct node through
-:mod:`radonrange.exactla`.  The consistency and positivity checks are
-shared, with exact moments held to exact equality.  The exact recurrence
-residuals and the exact Hankel certificate also run once per distinct
-node: nodes that hold identical exact values share one computation, whose
-result is gathered back over the grid.
+:mod:`radonrange.exactla`.  Both share the checks; exact residuals must
+be 0, and only solved nodes have residuals (an interpolated node holds no
+model data).  The exact solve and residuals and the exact Hankel
+certificate run once per distinct node and are gathered back over the
+grid.
 """
 
 from __future__ import annotations
@@ -59,7 +62,8 @@ from .rangetest import MembershipReport, is_homogeneous_restriction
 #: budget of grid directions allowed to have a singular pointwise system
 MAX_DEGENERATE_FRACTION = 0.05
 
-#: relative tolerance of the float power consistency check u_i = u_1^i
+#: a float recurrence row r < m fails where |residual| exceeds this share of
+#: the sum of its term magnitudes (exact rows must vanish)
 CONSISTENCY_TOL = 1e-8
 
 
@@ -133,10 +137,10 @@ def synthesize_moments(
     return MomentSequence(tuple(even_moments(data, orders, n, weight=1)))
 
 
-def _power_system(moment_seq: MomentSequence, m: int, indices: np.ndarray):
+def _power_system(p, m: int):
     """Stacked matrices (N, m, m) and right sides (N, m) of the pointwise
-    systems in u_1..u_m at the grid nodes ``indices``, in the moments' dtype."""
-    p = [moment_seq.values(t)[indices] for t in range(2 * m)]
+    systems in u_1..u_m, from the moment columns ``p[t]`` = p_{2t} at N
+    nodes, in the moments' dtype."""
     rows = [
         [(-1) ** (m - i) * math.comb(m, i) * p[r + m - i] for i in range(1, m + 1)]
         for r in range(m)
@@ -149,8 +153,8 @@ def _int_power(values: np.ndarray, e: int) -> np.ndarray:
     """``values ** e`` computed element by element as Python scalars do.
 
     numpy's vectorized float power may round differently in the last bit
-    from the C ``pow`` that scalar arithmetic uses, and the residuals and
-    consistency checks must not depend on which of the two ran.
+    from the C ``pow`` that scalar arithmetic uses, and the recurrence
+    residuals must not depend on which of the two ran.
     """
     return np.array([v**e for v in values.tolist()], dtype=values.dtype)
 
@@ -158,34 +162,34 @@ def _int_power(values: np.ndarray, e: int) -> np.ndarray:
 def _solve_nodes(moment_seq: MomentSequence, m: int, indices: np.ndarray):
     """rho^2 at the grid nodes ``indices``, in the moments' arithmetic.
 
-    Returns ``(rho2, degenerate)``: the solved rho^2 and a mask of the nodes
-    whose system is singular (their rho^2 entries are meaningless).  Raises
-    :class:`NotInModelError` for the first non-degenerate node, in the order
-    of ``indices``, whose powers are inconsistent (u_i != u_1^i beyond
-    :data:`CONSISTENCY_TOL`; exact moments must match exactly) or whose rho^2
-    is nonpositive.
+    Returns ``(rho2, degenerate, max_residual, residual_scale)``: rho^2, a
+    mask of the nodes whose system is singular (their rho^2 is meaningless),
+    and the largest recurrence residual and term magnitude over the solved
+    nodes and rows r = 0..K-m.  Raises :class:`NotInModelError` for the
+    first solved node, in the order of ``indices``, where a row r < m fails
+    (exact: a nonzero residual; float: beyond :data:`CONSISTENCY_TOL` of its
+    term magnitudes) or rho^2 is nonpositive.
     """
-    if moment_seq.is_exact:
-        # the system at a node is a function of p_0..p_{2m-1} there: solve it
-        # at the first node of each distinct tuple, in scan order, so the
-        # first failing node is still the one an error names
-        representatives, inverse = distinct_nodes(
-            [moment_seq.values(t)[indices] for t in range(2 * m)]
-        )
+    exact = moment_seq.is_exact
+    p = [moment_seq.values(t)[indices] for t in range(moment_seq.max_half_order + 1)]
+    if exact:
+        # everything at a node is a function of p_0..p_K there: solve at the
+        # first node of each distinct tuple, in scan order, so the first
+        # failing node is still the one an error names
+        representatives, inverse = distinct_nodes(p)
         indices = indices[representatives]
-        a, b = _power_system(moment_seq, m, indices)
-        u = np.zeros((len(indices), m), dtype=object)
+        p = [col[representatives] for col in p]
+        a, b = _power_system(p, m)
+        u1 = np.zeros(len(indices), dtype=object)
         degenerate = np.zeros(len(indices), dtype=bool)
         for pos in range(len(indices)):
             try:
-                u[pos] = exactla.solve(a[pos], b[pos])
+                u1[pos] = exactla.solve(a[pos], b[pos])[0]
             except SingularMatrixError:
                 degenerate[pos] = True
     else:
         inverse = np.arange(len(indices))
-        a, b = _power_system(moment_seq, m, indices)
-        a = np.asarray(a, dtype=float)
-        b = np.asarray(b, dtype=float)
+        a, b = (np.asarray(x, dtype=float) for x in _power_system(p, m))
         u = np.zeros((len(indices), m))
         if m == 1:
             # the 1x1 pivot is p_0; judge smallness against p_0 across the grid
@@ -199,29 +203,42 @@ def _solve_nodes(moment_seq: MomentSequence, m: int, indices: np.ndarray):
             degenerate[finite] = np.linalg.cond(a[finite]) > 1e13
             ok = ~degenerate
             u[ok] = np.linalg.solve(a[ok], b[ok, :, None])[..., 0]
-    u1 = u[:, 0].copy()
-    consistency_tol = 0 if moment_seq.is_exact else CONSISTENCY_TOL
-    # smallest power i whose consistency u_i = u_1^i fails at each node (0: none)
-    failed_power = np.zeros(len(indices), dtype=int)
-    for i in range(m, 1, -1):
-        target = _int_power(u1, i)
-        scale = np.maximum(np.maximum(np.abs(u[:, i - 1]), np.abs(target)), 1e-30)
-        failed_power[np.abs(u[:, i - 1] - target) > consistency_tol * scale] = i
-    bad = ~degenerate & ((failed_power > 0) | (u1 <= 0))
+        u1 = u[:, 0]
+
+    # recurrence rows r = 0..K-m at rho^2 = u_1, on the solved nodes only
+    solved = np.nonzero(~degenerate)[0]
+    rho2 = u1[solved]
+    p = [col[solved] for col in p]
+    powers = [_int_power(rho2, m - k) for k in range(m + 1)]
+    rows = [
+        [(-1) ** k * math.comb(m, k) * powers[k] * p[r + k] for k in range(m + 1)]
+        for r in range(len(p) - m)
+    ]
+    residuals = [sum(terms) for terms in rows]
+    # the smallest failing row r < m at each solved node (m: none)
+    failed_row = np.full(len(solved), m)
+    for r in range(m - 1, -1, -1):
+        limit = 0 if exact else CONSISTENCY_TOL * sum(np.abs(t) for t in rows[r])
+        failed_row[np.abs(residuals[r]) > limit] = r
+    bad = (failed_row < m) | (rho2 <= 0)
     if bad.any():
         pos = int(np.argmax(bad))
-        index, i = int(indices[pos]), int(failed_power[pos])
-        if i:
-            raise NotInModelError(
-                f"power consistency fails at grid index {index}: u_{i} != u_1^{i}"
-            )
+        index, r = int(indices[solved[pos]]), int(failed_row[pos])
+        if r < m:
+            raise NotInModelError(f"recurrence row {r} fails at grid index {index}")
         raise NotInModelError(f"rho^2 <= 0 at grid index {index}")
-    return u1[inverse], degenerate[inverse]
+
+    # the maxima skip nan entries (np.fmax), so one overflowed node cannot hide the rest
+    residual = np.abs(np.asarray(residuals, dtype=float))
+    scale = np.array([sum(np.abs(np.asarray(t, dtype=float)) for t in terms) for terms in rows])
+    max_residual = float(np.fmax.reduce(residual, axis=None, initial=0.0))
+    residual_scale = float(np.fmax.reduce(scale, axis=None, initial=0.0))
+    return u1[inverse], degenerate[inverse], max_residual, residual_scale
 
 
 def _solve_at_index(moment_seq: MomentSequence, m: int, index: int):
     """rho^2 at one grid node; raises DegeneratePointError / NotInModelError."""
-    rho2, degenerate = _solve_nodes(moment_seq, m, np.array([index]))
+    rho2, degenerate, _, _ = _solve_nodes(moment_seq, m, np.array([index]))
     if degenerate[0]:
         raise DegeneratePointError(f"singular system at grid index {index}")
     return rho2.tolist()[0]
@@ -232,8 +249,9 @@ def solve_rho2(moment_seq: MomentSequence, m: int, theta: float):
 
     Needs moments through half-order 2m - 1.  The angle must be a grid
     node.  Raises :class:`DegeneratePointError` when the system is
-    singular there and :class:`NotInModelError` when the solved powers are
-    inconsistent or rho^2 comes out nonpositive.
+    singular there and :class:`NotInModelError` when a recurrence row
+    r < m fails at rho^2 = u_1 (the powers are inconsistent) or rho^2
+    comes out nonpositive.
     """
     if moment_seq.max_half_order < 2 * m - 1:
         raise InvalidParameterError(
@@ -343,9 +361,9 @@ def reconstruct(
     """Run the full pointwise solve / membership / quadratic-fit pipeline.
 
     Solves rho^2 at every grid node (restricted to ``window`` when given),
-    evaluates the recurrence residuals for all available orders, and in
-    global mode tests the degree-2 membership and fits the quadratic form.
-    Raises :class:`ReconstructionFailedError` when more than
+    with the recurrence residuals of all available orders at the solved
+    nodes, and in global mode tests the degree-2 membership and fits the
+    quadratic form.  Raises :class:`ReconstructionFailedError` when more than
     :data:`MAX_DEGENERATE_FRACTION` of the attempted nodes are degenerate.
     """
     if moment_seq.max_half_order < 2 * m - 1:
@@ -360,7 +378,7 @@ def reconstruct(
     else:
         selected = np.arange(n)
 
-    rho2, degenerate_mask = _solve_nodes(moment_seq, m, selected)
+    rho2, degenerate_mask, max_residual, residual_scale = _solve_nodes(moment_seq, m, selected)
     solved = ~degenerate_mask
     degenerate = [int(i) for i in selected[~solved]]
     notes = []
@@ -372,31 +390,6 @@ def reconstruct(
     if degenerate:
         notes.append(f"{len(degenerate)} degenerate directions were interpolated")
         rho2 = _fill_gaps(rho2, solved)
-
-    # recurrence residuals, evaluated with the recovered rho^2; the maxima
-    # skip nan entries (np.fmax), so one overflowed node cannot hide the rest.
-    # Exact residuals are functions of (rho^2, p_0..p_K) at a node, so their
-    # maxima are taken over the distinct tuples only
-    p = [moment_seq.values(t)[selected] for t in range(moment_seq.max_half_order + 1)]
-    node_rho2 = rho2
-    if moment_seq.is_exact:
-        representatives, _ = distinct_nodes([rho2, *p])
-        node_rho2 = rho2[representatives]
-        p = [col[representatives] for col in p]
-    powers = [_int_power(node_rho2, m - k) for k in range(m + 1)]
-    max_residual = 0.0
-    residual_scale = 0.0
-    for r in range(moment_seq.max_half_order - m + 1):
-        res = 0
-        scale = 0.0
-        for k in range(m + 1):
-            term = (-1) ** k * math.comb(m, k) * powers[k] * p[r + k]
-            res = res + term
-            scale = scale + np.abs(np.asarray(term, dtype=float))
-        max_residual = float(
-            np.fmax.reduce(np.abs(np.asarray(res, dtype=float)), initial=max_residual)
-        )
-        residual_scale = float(np.fmax.reduce(scale, initial=residual_scale))
 
     quadratic_verdict = None
     ellipse_matrix = None

@@ -374,6 +374,15 @@ class TestOverflowingMoments:
         assert "moment p_2 is not finite" in out.err
         assert "FAIL" not in out.out and "not even" not in out.err
 
+    @pytest.mark.parametrize("tilt", [0, 0.5])
+    @pytest.mark.parametrize("command", ["range-check", "reconstruct"])
+    def test_large_ellipse_is_not_an_input_error(self, tmp_path, command, tilt, capsys):
+        # rho^2 samples of a 1e100 x 1 ellipse cancel to 0 at theta = pi/2
+        # in floats; the body is still positive, and its moments overflow
+        body = _write_body(tmp_path, {"kind": "ellipse", "a": 1e100, "b": 1, "tilt": tilt})
+        assert main([command, "--body", body, "--K", "3", "--grid", "64"]) == 2
+        assert "moment p_4 is not finite" in capsys.readouterr().err
+
     def test_overflow_at_a_higher_order(self, tmp_path, capsys):
         body = _write_body(tmp_path, {"kind": "trig", "rho2": {"cos": [1e200]}})
         assert main(["range-check", "--body", body, "--K", "4", "--grid", "64"]) == 2

@@ -115,6 +115,16 @@ class TestSampledSupport:
         assert body.rho_samples(4)[1] == Fraction(3, 2)
         assert body.rho2_samples(4)[1] == Fraction(9, 4)
 
+    def test_evenness_defect_of_samples_is_zero(self):
+        # samples that pass the evenness check are stored exactly even, so
+        # an antipodal mismatch inside the tolerance is gone
+        thetas = theta_grid(64)
+        rho = np.sqrt(4 * np.cos(thetas) ** 2 + np.sin(thetas) ** 2)
+        rho[32:] += 5e-10
+        assert evenness_defect(SupportFunction.from_samples(rho)) == 0.0
+        exact = SupportFunction.from_samples(mirrored([Fraction(1), Fraction(3, 2)]))
+        assert evenness_defect(exact) == 0.0
+
     def test_positivity_and_evenness_validation(self):
         with pytest.raises(PositivityError):
             SupportFunction.from_samples([1, 1, 0, 1])

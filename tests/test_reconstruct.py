@@ -1,3 +1,4 @@
+import importlib
 import math
 from fractions import Fraction
 
@@ -27,6 +28,7 @@ from radonrange import (
     theta_grid,
 )
 from radonrange import exactla
+from radonrange.circle import distinct_nodes
 from radonrange.errors import SingularMatrixError
 from radonrange.reconstruct import _solve_at_index
 from tests.conftest import (
@@ -114,10 +116,19 @@ class TestSolveRho2:
 
     @pytest.mark.parametrize("scalar", [float, Fraction])
     def test_inconsistent_powers_not_in_model(self, scalar):
-        # p = (1, 1, 5, 1), m = 2: u_1 = -1/2 and u_2 = -6 != u_1^2
+        # p = (1, 1, 5, 1), m = 2: u_1 = -1/2 and u_2 = -6 != u_1^2, so row 0,
+        # u_1^2 p_0 - 2 u_1 p_2 + p_4 = 25/4, does not vanish at rho^2 = u_1
         seq = _constant_moments([1, 1, 5, 1], scalar)
-        message = r"^power consistency fails at grid index 0: u_2 != u_1\^2$"
+        message = r"^recurrence row 0 fails at grid index 0$"
         with pytest.raises(NotInModelError, match=message):
+            solve_rho2(seq, 2, 0.0)
+
+    @pytest.mark.parametrize("scalar", [float, Fraction])
+    def test_every_system_row_gates(self, scalar):
+        # p = (0, 1, 1, 5), m = 2: u_1 = 1/2 and u_2 = -4; row 0 is
+        # p_0 (u_1^2 - u_2) = 0 since p_0 = 0, and only row 1 sees the split
+        seq = _constant_moments([0, 1, 1, 5], scalar)
+        with pytest.raises(NotInModelError, match=r"^recurrence row 1 fails at grid index 0$"):
             solve_rho2(seq, 2, 0.0)
 
     def test_exact_consistency_is_equality(self):
@@ -126,7 +137,7 @@ class TestSolveRho2:
         lam = Fraction(13, 10)
         values = [1, 2 * lam, 3 * lam**2 * (1 + Fraction(1, 10**12)), 4 * lam**3]
         assert solve_rho2(_constant_moments(values, float), 2, 0.0) == pytest.approx(1.3)
-        message = r"^power consistency fails at grid index 0: u_2 != u_1\^2$"
+        message = r"^recurrence row 0 fails at grid index 0$"
         with pytest.raises(NotInModelError, match=message):
             solve_rho2(_constant_moments(values, Fraction), 2, 0.0)
 
@@ -305,13 +316,11 @@ def _reference_node(seq, m, index, consistency_tol=1e-8):
             raise DegeneratePointError(f"singular system at grid index {index}")
         u = np.linalg.solve(a, b)
     u1 = float(u[0])
-    for i in range(2, m + 1):
-        target = u1**i
-        scale = max(abs(float(u[i - 1])), abs(target), 1e-30)
-        if abs(float(u[i - 1]) - target) > consistency_tol * scale:
-            raise NotInModelError(
-                f"power consistency fails at grid index {index}: u_{i} != u_1^{i}"
-            )
+    p = [seq.values(t)[index] for t in range(2 * m)]
+    for r in range(m):
+        terms = [(-1) ** k * math.comb(m, k) * u1 ** (m - k) * p[r + k] for k in range(m + 1)]
+        if abs(sum(terms)) > consistency_tol * sum(abs(t) for t in terms):
+            raise NotInModelError(f"recurrence row {r} fails at grid index {index}")
     if u1 <= 0:
         raise NotInModelError(f"rho^2 <= 0 at grid index {index}")
     return u1
@@ -335,7 +344,8 @@ def _reference_residual(seq, m, nodes):
 
 def _reference_reconstruct(seq, m):
     """(rho^2 after gap filling, degenerate indices, max residual, residual
-    scale) from per-node loops; raises what the first failing node raises."""
+    scale over the solved nodes) from per-node loops; raises what the first
+    failing node raises."""
     n = seq.grid_size
     rho2 = np.zeros(n)
     degenerate = []
@@ -352,7 +362,7 @@ def _reference_reconstruct(seq, m):
         fwd = solved_idx[np.argmin((solved_idx - i) % n)]
         back = solved_idx[np.argmin((i - solved_idx) % n)]
         filled[i] = 0.5 * (rho2[fwd] + rho2[back])
-    residual = _reference_residual(seq, m, list(enumerate(filled)))
+    residual = _reference_residual(seq, m, [(i, rho2[i]) for i in solved_idx])
     return (filled, tuple(degenerate), *residual)
 
 
@@ -409,7 +419,7 @@ class TestBatchedFloatSolve:
         rows = _double_root_moments(n, 1.3)
         _set_node(rows, 3, [1.0, 2.6, 3 * 1.69 * 1.001, 4 * 1.3**3])
         _set_node(rows, 6, [(1.0 + t) * (-0.5) ** t for t in range(4)])
-        message = r"^power consistency fails at grid index 3: u_2 != u_1\^2$"
+        message = r"^recurrence row 0 fails at grid index 3$"
         with pytest.raises(NotInModelError, match=message):
             reconstruct(_external(rows), 2)
         with pytest.raises(NotInModelError, match=message):
@@ -436,6 +446,8 @@ class TestBatchedFloatSolve:
         assert np.array_equal(report.rho2_values, filled)
         assert report.max_residual == max_residual
         assert report.residual_scale == residual_scale
+        # the interpolated nodes are not model data: they do not count
+        assert report.relative_residual <= 1e-15
         assert report.notes[0] == "4 degenerate directions were interpolated"
 
         _set_node(rows, 20, [1.0, 2.0, 4.0, 8.0])
@@ -451,8 +463,9 @@ class TestBatchedFloatSolve:
 
 def _exact_reference_node(seq, m, index):
     """Exact rho^2 at one node: ``exactla.solve`` on the power system, then
-    the powers compared with ``!=``; the raised exception class and message
-    are part of the reference."""
+    the powers compared with ``!=`` (u_i = u_1^i), the rule the recurrence
+    rows replaced, kept as their oracle; the raised exception class and the
+    grid index it names are part of the reference."""
     a, b = _reference_system(seq, m, index, object)
     try:
         u = exactla.solve(a, b)
@@ -460,9 +473,7 @@ def _exact_reference_node(seq, m, index):
         raise DegeneratePointError(f"singular system at grid index {index}") from exc
     for i in range(2, m + 1):
         if u[i - 1] != u[0] ** i:
-            raise NotInModelError(
-                f"power consistency fails at grid index {index}: u_{i} != u_1^{i}"
-            )
+            raise NotInModelError(f"u_{i} != u_1^{i} at grid index {index}")
     if u[0] <= 0:
         raise NotInModelError(f"rho^2 <= 0 at grid index {index}")
     return u[0]
@@ -470,8 +481,8 @@ def _exact_reference_node(seq, m, index):
 
 def _exact_per_node(seq, m, solve_node=_solve_at_index):
     """(rho^2 after gap filling, degenerate indices, max residual, residual
-    scale) from ``solve_node`` at every node; raises what the first failing
-    node raises."""
+    scale over the solved nodes) from ``solve_node`` at every node; raises
+    what the first failing node raises."""
     n = seq.grid_size
     rho2 = np.empty(n, dtype=object)
     degenerate = []
@@ -486,7 +497,7 @@ def _exact_per_node(seq, m, solve_node=_solve_at_index):
         fwd = min(solved, key=lambda s: (s - i) % n)
         back = min(solved, key=lambda s: (i - s) % n)
         filled[i] = Fraction(1, 2) * (rho2[fwd] + rho2[back])
-    residual = _reference_residual(seq, m, list(enumerate(filled)))
+    residual = _reference_residual(seq, m, [(i, rho2[i]) for i in solved])
     return (filled, tuple(degenerate), *residual)
 
 
@@ -510,7 +521,7 @@ class TestExactSolveOnDistinctNodes:
         filled, degenerate, max_residual, residual_scale = _exact_per_node(seq, m)
         assert report.degenerate_indices == degenerate == ((7, 39) if m > 1 else ())
         assert all(x == y for x, y in zip(report.rho2_values, filled))
-        assert report.max_residual == max_residual
+        assert report.max_residual == max_residual == 0
         assert report.residual_scale == residual_scale
         reference = _exact_per_node(seq, m, _exact_reference_node)
         assert report.degenerate_indices == reference[1]
@@ -518,13 +529,30 @@ class TestExactSolveOnDistinctNodes:
                    for x, y in zip(report.rho2_values, reference[0]))
         assert (report.max_residual, report.residual_scale) == reference[2:]
 
+    def test_one_distinct_node_pass(self, monkeypatch):
+        # the solve, the gate and the reported residuals share one pass
+        calls = []
+
+        def counted(columns):
+            calls.append(len(columns))
+            return distinct_nodes(columns)
+
+        # the package exports a function of the module's name
+        module = importlib.import_module("radonrange.reconstruct")
+        monkeypatch.setattr(module, "distinct_nodes", counted)
+        data = TangentialData(SupportFunction.from_samples(mirrored([1, Fraction(5, 4)] * 4)),
+                              (1, Fraction(1, 2)))
+        report = reconstruct(synthesize_moments(data, 6), 2)
+        assert report.max_residual == 0
+        assert calls == [7]  # p_0 .. p_12
+
     def test_first_failing_node_is_named_when_its_values_repeat(self):
         n = 16
         lam = Fraction(13, 10)
         good = [(1 + t) * lam**t for t in range(4)]
         inconsistent = [1, 2 * lam, 3 * lam**2 * Fraction(1001, 1000), 4 * lam**3]
         negative = [(1 + t) * Fraction(-1, 2) ** t for t in range(4)]
-        message = r"^power consistency fails at grid index 2: u_2 != u_1\^2$"
+        message = r"^recurrence row 0 fails at grid index 2$"
 
         rows = [[v] * n for v in good]
         for index, values in ((2, inconsistent), (4, negative), (5, inconsistent)):
@@ -533,7 +561,7 @@ class TestExactSolveOnDistinctNodes:
             reconstruct(_exact_rows(rows), 2)
         with pytest.raises(NotInModelError, match=message):
             _exact_per_node(_exact_rows(rows), 2)
-        with pytest.raises(NotInModelError, match=message):
+        with pytest.raises(NotInModelError, match=r"^u_2 != u_1\^2 at grid index 2$"):
             _exact_per_node(_exact_rows(rows), 2, _exact_reference_node)
 
         rows = [[v] * n for v in good]
@@ -543,3 +571,99 @@ class TestExactSolveOnDistinctNodes:
             reconstruct(_exact_rows(rows), 2)
         with pytest.raises(NotInModelError, match=r"^rho\^2 <= 0 at grid index 3$"):
             _exact_per_node(_exact_rows(rows), 2, _exact_reference_node)
+
+
+@st.composite
+def _node_moments(draw, m, max_half_order):
+    """p_0, p_2, ..., p_{2K} at one node: mostly p_{2t} = P(t) lam^t with
+    deg P < m, which the recurrence of the m-fold root lam annihilates
+    (lam < 0 sometimes, and a P of lower degree gives a singular system);
+    else that sequence with one entry moved, or small random integers."""
+    kind = draw(st.sampled_from(["model"] * 6 + ["moved", "random"]))
+    orders = range(max_half_order + 1)
+    if kind == "random":
+        return [Fraction(draw(st.integers(-3, 3))) for _ in orders]
+    lam = Fraction(draw(st.integers(1, 6)), draw(st.integers(1, 3)))
+    if draw(st.integers(0, 7)) == 0:
+        lam = -lam
+    coeffs = [draw(st.integers(-2, 2)) for _ in range(m - 1)]
+    coeffs.append(draw(st.integers(0, 6)) - 3 if draw(st.integers(0, 7)) == 0
+                  else draw(st.sampled_from([-2, -1, 1, 2])))
+    values = [sum(c * t**j for j, c in enumerate(coeffs)) * lam**t for t in orders]
+    if kind == "moved":
+        values[draw(st.sampled_from(orders))] += Fraction(1, draw(st.integers(1, 10**6)))
+    return values
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_exact_rows_fail_where_the_powers_split(data):
+    # the rows r < m vanish at (u_1, ..., u_1^m) exactly when u_i = u_1^i,
+    # so the first node either rule refuses is the same; nodes draw from a
+    # small pool, so values repeat as on a sampled body
+    m = data.draw(st.sampled_from([2, 3]))
+    n = data.draw(st.sampled_from([g for g in GRIDS_PRIME_TO_6 if g <= 16]))
+    max_half_order = 2 * m - 1 + data.draw(st.integers(0, 2))
+    pool = data.draw(st.lists(_node_moments(m, max_half_order), min_size=1, max_size=4))
+    half = [pool[data.draw(st.integers(0, len(pool) - 1))] for _ in range(n // 2)]
+    seq = _exact_rows([mirrored([node[t] for node in half])
+                       for t in range(max_half_order + 1)])
+    first_refused = None
+    for i in range(n):
+        try:
+            _exact_reference_node(seq, m, i)
+        except DegeneratePointError:
+            continue
+        except NotInModelError:
+            first_refused = i
+            break
+    if first_refused is None:
+        try:
+            reconstruct(seq, m)
+        except ReconstructionFailedError:
+            pass  # a degenerate node is more than 5% of n <= 16 nodes
+    else:
+        with pytest.raises(NotInModelError, match=rf"at grid index {first_refused}$"):
+            reconstruct(seq, m)
+
+
+# ---------------------------------------------------------------------------
+# float moments with noise: the gate reads residuals, which stay at sigma
+# ---------------------------------------------------------------------------
+
+
+def _noisy_moments(body, m, sigma, seed, n=512):
+    """Float moments of ``body`` with densities 1 + 0.1 j + 0.2 cos 2 theta,
+    each sample scaled by 1 + sigma g, g standard normal and equal at
+    antipodes (so the moments stay even)."""
+    densities = tuple(TrigPoly.from_terms(cos={0: 1 + 0.1 * j, 2: 0.2}) for j in range(m))
+    seq = synthesize_moments(TangentialData(body, densities), 3 * m - 2, n=n)
+    rng = np.random.default_rng(seed)
+    entries = []
+    for k in range(seq.max_half_order + 1):
+        g = np.tile(rng.standard_normal(n // 2), 2)
+        entries.append(CircleFunction(np.asarray(seq.values(k), float) * (1 + sigma * g)))
+    return MomentSequence(tuple(entries))
+
+
+class TestNoisyMoments:
+    """The split u_i - u_1^i of an m-fold root moves like sigma^(1/m), and
+    gating on it refused these inputs; the recurrence residual moves like
+    sigma."""
+
+    BODY = make_ellipse(2, 1, 0.3)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize(("m", "sigma"), [(2, 1e-9), (3, 1e-9), (4, 1e-10)])
+    def test_ellipse_certifies_and_its_twin_fails(self, m, sigma, seed):
+        report = reconstruct(_noisy_moments(self.BODY, m, sigma, seed), m)
+        assert report.verdict == "ellipse"
+        assert report.relative_residual <= 5 * sigma
+        twin = reconstruct(_noisy_moments(perturb(self.BODY, 1e-3, 4), m, sigma, seed), m)
+        assert twin.verdict == "non-quadratic"
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_larger_noise_is_not_in_model(self, m, seed):
+        with pytest.raises(NotInModelError, match=r"^recurrence row \d fails at grid index"):
+            reconstruct(_noisy_moments(self.BODY, m, 1e-7, seed), m)
