@@ -295,8 +295,9 @@ def hankel_certificate(data: TangentialData, n: int | None = None) -> HankelCert
     on a wrong matrix), not re-checked per node.  The determinants of the
     Hankel matrices of p_0 .. p_{4m-4} are reported at every node: batched
     over the grid in float arithmetic, once per distinct node in exact
-    arithmetic.  Requires q_{m-1} not identically zero and rho nonzero at
-    every node.
+    arithmetic, where the node's moments are brought over their lcm L and
+    the integer Hankel matrix is eliminated: det = det(L A) / L^m.
+    Requires q_{m-1} not identically zero and rho nonzero at every node.
     """
     if n is None:
         n = data.natural_grid_size
@@ -311,9 +312,13 @@ def hankel_certificate(data: TangentialData, n: int | None = None) -> HankelCert
     _shift_pattern(m)  # raises unless N^(m-1) has its corner form for every rho != 0
     p_arrays = [f.values for f in moments.even_moments(data, range(0, 4 * m - 3, 2), n)]
     if exact:
-        representatives, inverse = distinct_nodes(p_arrays)
-        dets = [exactla.det(exactla.fraction_matrix(
-            [[p[i] for p in p_arrays[t : t + m]] for t in range(m)])) for i in representatives]
+        _, inverse, nodes = distinct_nodes(p_arrays)
+        dets = []
+        for node in nodes:
+            lcm = math.lcm(*(den for _, den in node))
+            ints = [num * (lcm // den) for num, den in node]
+            hankel = np.array([ints[t : t + m] for t in range(m)], dtype=object)
+            dets.append(exactla.det(hankel) / lcm**m)
         determinants = tuple(dets[k] for k in inverse.tolist())
     else:
         p = np.stack([np.asarray(v, dtype=float) for v in p_arrays], axis=-1)

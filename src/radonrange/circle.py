@@ -52,7 +52,7 @@ def grid_index(theta: float, n: int) -> int:
 
 
 def distinct_nodes(columns) -> tuple:
-    """``(representatives, inverse)`` of the grid nodes by their values.
+    """``(representatives, inverse, nodes)`` of the grid nodes by their values.
 
     ``columns`` are equal-length sequences of exact values (ints, Fractions
     or finite floats), one per quantity; node i is the tuple of column
@@ -61,7 +61,9 @@ def distinct_nodes(columns) -> tuple:
     index of each distinct tuple, in scan order, and ``inverse[i]`` is the
     position in ``representatives`` of node i's tuple, so
     ``values[representatives][inverse]`` rebuilds any per-node array that
-    is a function of the tuple.
+    is a function of the tuple.  ``nodes[r]`` is that tuple as
+    ``(numerator, denominator)`` pairs, one per column, ready for integer
+    arithmetic.
     """
     first: dict = {}
     representatives = []
@@ -72,7 +74,8 @@ def distinct_nodes(columns) -> tuple:
         if pos == len(representatives):
             representatives.append(i)
         inverse.append(pos)
-    return np.array(representatives, dtype=np.intp), np.array(inverse, dtype=np.intp)
+    return (np.array(representatives, dtype=np.intp), np.array(inverse, dtype=np.intp),
+            list(first))
 
 
 def is_exact_scalar(x) -> bool:
@@ -375,7 +378,10 @@ class CircleFunction:
         half = self.n // 2
         shifted = np.roll(self.values, -half)
         if self.is_exact:
-            return all(x == y for x, y in zip(self.values, shifted))
+            # a column gathered over distinct nodes holds one object at both
+            # antipodes; floats compare by value, so a NaN never reads as even
+            return all((x is y and not isinstance(x, float)) or x == y
+                       for x, y in zip(self.values, shifted))
         if tol is None:
             scale = float(np.max(np.abs(self.as_float()))) if self.n else 0.0
             tol = 1e-9 * max(1.0, scale)

@@ -9,6 +9,11 @@ end.  ``det``, ``solve``, ``inv`` and ``rank`` share one fraction-free
 (Bareiss) eliminator, whose divisions are all exact, so no intermediate
 rational is ever reduced.  Everything is sized for the small systems of
 the elimination machinery (m <= 8), not for large n.
+
+The lcm scaling is for one small matrix.  Grid columns are not scaled by
+one lcm, which would grow with the number of distinct denominators on the
+grid: the moment, solve and Hankel kernels bring each distinct node over
+its own denominator and hand this module integer matrices.
 """
 
 from __future__ import annotations

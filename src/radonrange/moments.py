@@ -22,11 +22,14 @@ several orders (``synthesize_moments``, ``range_check``,
 A moment carries a trigonometric form only when that form is exact
 (:func:`has_exact_form`); it then builds each power rho^s once.  Every
 other moment is its samples alone, and the range battery tests it on them.
+Exact samples are computed on Python integers over each distinct node's own
+denominator, and a ``Fraction`` is made only for each returned sample.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -88,24 +91,51 @@ def has_exact_form(data: TangentialData, k: int) -> bool:
     ) for j in range(min(data.m, k + 1)))
 
 
+def _exact_columns(nodes, orders, factors) -> list:
+    """Exact samples of each even order at each distinct node, on integers.
+
+    ``nodes[i]`` holds (numerator, denominator) of rho = R/d and of each
+    density q_j.  Over one denominator e, q_j = Q_j/e, and p_k = P_k / (e d^k)
+    with the integer P_k = sum_j f_j Q_j R^(k-j) d^j, where ``factors[i]``
+    lists the f_j = weight * c(k, j) (-1)^j of the i-th order k.  Each node
+    keeps its own denominator, since one lcm for a whole column grows with
+    the number of distinct denominators on the grid.
+    """
+    columns = [np.empty(len(nodes), dtype=object) for _ in orders]
+    for pos, ((r, d), *qs) in enumerate(nodes):
+        e = math.lcm(*(den for _, den in qs))
+        r_pows, d_pows = [1], [1]
+        for _ in range(max(orders)):
+            r_pows.append(r_pows[-1] * r)
+            d_pows.append(d_pows[-1] * d)
+        qd = [num * (e // den) * d_pows[j] for j, (num, den) in enumerate(qs)]  # Q_j d^j
+        for column, k, row in zip(columns, orders, factors):
+            p_k = sum(f * qd[j] * r_pows[k - j] for j, f in enumerate(row))
+            column[pos] = Fraction(p_k, e * d_pows[k])
+    return columns
+
+
 def even_moments(data: TangentialData, orders, n: int, weight: int = 2) -> list:
     """:func:`moment` for each even order in ``orders``, sampling rho and the
     densities once for all of them.
 
     Only the orders with an exact form (:func:`has_exact_form`) get one, so
-    no float trig polynomial is ever multiplied.  ``weight`` is the overall
-    factor of the pairing: 2 gives the raw moments, 1 the halved ones that
-    ``synthesize_moments`` hands on.  A float moment that overflows raises
-    ``OverflowError`` naming its order.
+    no float trig polynomial is ever multiplied.  Exact samples are computed
+    on integers once per distinct node (:func:`_exact_columns`) and gathered
+    back over the grid.  ``weight`` is the overall factor of the pairing: 2
+    gives the raw moments, 1 the halved ones that ``synthesize_moments``
+    hands on.  A float moment that overflows raises ``OverflowError`` naming
+    its order.
     """
     exact = data.is_exact
     used = range(min(data.m, max(orders) + 1))  # q_j enters p_k iff j <= k
     rho_s = data.rho.rho_samples(n)
     q_s = [data.density_samples(j, n) for j in used]
+    factors = [[weight * falling_factorial(k, j) * (-1 if j % 2 else 1)
+                for j in range(min(data.m, k + 1))] for k in orders]
     if exact:
-        representatives, inverse = distinct_nodes([rho_s, *q_s])
-        rho_s = rho_s[representatives]
-        q_s = [q[representatives] for q in q_s]
+        _, inverse, nodes = distinct_nodes([rho_s, *q_s])
+        columns = _exact_columns(nodes, orders, factors)
     else:
         rho_s = np.asarray(rho_s, dtype=float)
         q_s = [np.asarray(q, dtype=float) for q in q_s]
@@ -122,18 +152,16 @@ def even_moments(data: TangentialData, orders, n: int, weight: int = 2) -> list:
             rho_pows.append(None)
     out = []
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite moment raises below
-        for k, ok in zip(orders, with_poly):
-            total = None
+        for i, (k, ok) in enumerate(zip(orders, with_poly)):
+            total = columns[i][inverse] if exact else None
             poly = TrigPoly.zero() if ok else None
-            for j, q in zip(range(min(data.m, k + 1)), q_s):
-                factor = weight * falling_factorial(k, j) * (-1 if j % 2 else 1)
-                term = factor * q * rho_s ** (k - j)
-                total = term if total is None else total + term
+            for j, (factor, q) in enumerate(zip(factors[i], q_s)):
+                if not exact:
+                    term = factor * q * rho_s ** (k - j)
+                    total = term if total is None else total + term
                 if ok:
                     poly = poly + factor * data.density_poly(j) * rho_pows[k - j]
-            if exact:
-                total = total[inverse]
-            elif not np.isfinite(total).all():
+            if not exact and not np.isfinite(total).all():
                 raise OverflowError(f"moment p_{k} is not finite in float arithmetic")
             out.append(CircleFunction(total, poly))
     return out

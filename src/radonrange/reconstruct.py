@@ -28,7 +28,11 @@ one.  In float arithmetic the systems of all nodes are stacked into one
 be 0, and only solved nodes have residuals (an interpolated node holds no
 model data).  The exact solve and residuals and the exact Hankel
 certificate run once per distinct node and are gathered back over the
-grid.
+grid.  They run on Python integers: a node's moments are brought over
+that node's lcm L, and with rho^2 = U / E a recurrence row times E^m L is
+an integer, so the gate is an integer test and each reported magnitude is
+one correctly rounded int / int division.  A magnitude past the float
+range raises ``OverflowError``.
 """
 
 from __future__ import annotations
@@ -175,10 +179,13 @@ def _solve_nodes(moment_seq: MomentSequence, m: int, indices: np.ndarray):
     if exact:
         # everything at a node is a function of p_0..p_K there: solve at the
         # first node of each distinct tuple, in scan order, so the first
-        # failing node is still the one an error names
-        representatives, inverse = distinct_nodes(p)
+        # failing node is still the one an error names; each node's moments
+        # are integers P_t over its own lcm L
+        representatives, inverse, nodes = distinct_nodes(p)
         indices = indices[representatives]
-        p = [col[representatives] for col in p]
+        lcm = np.array([math.lcm(*(den for _, den in node)) for node in nodes], dtype=object)
+        p = [np.array([num * (lcm_i // den) for (num, den), lcm_i in zip(col, lcm)], dtype=object)
+             for col in zip(*nodes)]
         a, b = _power_system(p, m)
         u1 = np.zeros(len(indices), dtype=object)
         degenerate = np.zeros(len(indices), dtype=bool)
@@ -209,7 +216,14 @@ def _solve_nodes(moment_seq: MomentSequence, m: int, indices: np.ndarray):
     solved = np.nonzero(~degenerate)[0]
     rho2 = u1[solved]
     p = [col[solved] for col in p]
-    powers = [_int_power(rho2, m - k) for k in range(m + 1)]
+    if exact:
+        # with rho^2 = U / E, a row times E^m L is an integer
+        num = np.array([x.numerator for x in rho2], dtype=object)
+        den = np.array([x.denominator for x in rho2], dtype=object)
+        powers = [num ** (m - k) * den**k for k in range(m + 1)]
+        scaling = den**m * lcm[solved]
+    else:
+        powers = [_int_power(rho2, m - k) for k in range(m + 1)]
     rows = [
         [(-1) ** k * math.comb(m, k) * powers[k] * p[r + k] for k in range(m + 1)]
         for r in range(len(p) - m)
@@ -228,6 +242,13 @@ def _solve_nodes(moment_seq: MomentSequence, m: int, indices: np.ndarray):
             raise NotInModelError(f"recurrence row {r} fails at grid index {index}")
         raise NotInModelError(f"rho^2 <= 0 at grid index {index}")
 
+    if exact:
+        # int true division rounds correctly, as float(Fraction) does
+        try:
+            residuals = [np.abs(x) / scaling for x in residuals]
+            rows = [[np.abs(t) / scaling for t in terms] for terms in rows]
+        except OverflowError:
+            raise OverflowError("exact recurrence residual scale exceeds float range") from None
     # the maxima skip nan entries (np.fmax), so one overflowed node cannot hide the rest
     residual = np.abs(np.asarray(residuals, dtype=float))
     scale = np.array([sum(np.abs(np.asarray(t, dtype=float)) for t in terms) for terms in rows])

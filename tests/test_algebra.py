@@ -363,6 +363,28 @@ class TestExactHankelOnDistinctNodes:
                 assert cert.determinants[i] == closed, (m, i)
             assert cert.verdict
 
+    def test_nodes_with_different_denominators(self, rng):
+        # each node's Hankel matrix is brought to integers over its own lcm;
+        # the determinants must equal Fraction elimination at every node
+        n = 16
+        thetas = theta_grid(n)
+        for m in range(1, 5):
+            def value(lo):
+                return Fraction(rng.randint(lo, 99) or 1, rng.randint(1, 10**6))
+
+            rho_s = mirrored([value(1) for _ in range(n // 2)])
+            densities = tuple(mirrored([value(-99) for _ in range(n // 2)]) for _ in range(m))
+            data = TangentialData(SupportFunction.from_samples(rho_s), densities)
+            cert = hankel_certificate(data, n)
+            want = []
+            for i in range(n):
+                hankel = [[moment_oracle(data, 2 * (t + u), float(thetas[i])) for u in range(m)]
+                          for t in range(m)]
+                want.append(exactla.det(exactla.fraction_matrix(hankel)))
+            assert cert.determinants == tuple(want), m
+            assert all(type(d) is Fraction for d in cert.determinants)
+            assert cert.max_abs_determinant == max(abs(d) for d in want)
+
     def test_closed_form_determinant_in_q_of_rho(self):
         sympy = pytest.importorskip("sympy")
         rho = sympy.Symbol("rho", nonzero=True)

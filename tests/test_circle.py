@@ -95,11 +95,33 @@ def test_bad_grid_sizes_rejected():
 def test_distinct_nodes_first_index_in_scan_order():
     rho = [Fraction(1), 2, Fraction(1), Fraction(3), Fraction(2), 1]
     q = [5, 5, 5, 5, 5, Fraction(7)]
-    representatives, inverse = distinct_nodes([rho, q])
+    representatives, inverse, nodes = distinct_nodes([rho, q])
     assert representatives.tolist() == [0, 1, 3, 5]
     assert inverse.tolist() == [0, 1, 0, 2, 1, 3]
+    assert nodes == [((1, 1), (5, 1)), ((2, 1), (5, 1)), ((3, 1), (5, 1)), ((1, 1), (7, 1))]
     values = np.asarray(rho, dtype=object)
     assert list(values[representatives][inverse]) == rho
+
+
+class TestExactEvenness:
+    """An exact column gathered over distinct nodes holds one object at both
+    antipodes, which ``is_even`` matches by identity before by value."""
+
+    def test_antipodes_differing_in_one_entry_are_not_even(self):
+        half = [Fraction(1, 3), Fraction(2, 5), 7, Fraction(-1, 9)]
+        values = np.array(half + half, dtype=object)
+        assert CircleFunction(values).is_even()
+        values[5] = Fraction(2, 5) + Fraction(1, 10**30)
+        assert not CircleFunction(values).is_even()
+
+    def test_equal_values_in_distinct_objects_are_even(self):
+        values = np.array([Fraction(1, 3), 2, Fraction(2, 6), Fraction(4, 2)], dtype=object)
+        assert values[0] is not values[2]
+        assert CircleFunction(values).is_even()
+
+    def test_one_nan_object_at_both_antipodes_is_not_even(self):
+        nan = float("nan")
+        assert not CircleFunction(np.array([nan, 1, nan, 1], dtype=object)).is_even()
 
 
 class TestFourierEnergy:

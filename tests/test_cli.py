@@ -389,6 +389,28 @@ class TestOverflowingMoments:
         assert "moment p_4 is not finite" in capsys.readouterr().err
 
 
+class TestExactBeyondFloatRange:
+    """An exact disk with rho^2 = 10^400 is decided on integers, but its
+    residual scale and its membership energies are reported as floats: a
+    clean degenerate exit (code 2), never a verdict, an input error or a
+    traceback."""
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_reconstruct_names_the_quantity(self, tmp_path, m, capsys):
+        doc = {"kind": "trig", "rho2": {"cos": [str(10**400)]}, "m": m, "densities": ["1"] * m}
+        body = _write_body(tmp_path, doc)
+        assert main(["reconstruct", "--body", body, "--grid", "64", "--exact"]) == 2
+        err = capsys.readouterr().err
+        assert "exact recurrence residual scale exceeds float range" in err
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_range_check_exits_two(self, tmp_path, m, capsys):
+        doc = {"kind": "trig", "rho2": {"cos": [str(10**400)]}, "m": m, "densities": ["1"] * m}
+        body = _write_body(tmp_path, doc)
+        assert main(["range-check", "--body", body, "--grid", "64", "--exact"]) == 2
+        assert capsys.readouterr().err.startswith("degenerate: ")
+
+
 class TestRangeCheckGridBeforeMoments:
     """The 8K + 4 samples a moment tested on its samples needs are checked
     before any moment is computed; exact trig forms need no samples."""

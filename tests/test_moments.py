@@ -300,3 +300,59 @@ class TestFloatOverflow:
     def test_exact_moments_never_overflow(self):
         data = TangentialData(disk(10**100), (1,))  # rho^4 = 10^400 is past the float range
         assert even_moments(data, [0, 2, 4], 8)[2].values[0] == 2 * 10**400
+
+
+# ---------------------------------------------------------------------------
+# the exact kernel runs on integers; it must equal Fraction arithmetic
+# ---------------------------------------------------------------------------
+
+
+def _fraction_moments(data, orders, n, weight):
+    """Exact samples of each order in ``Fraction`` arithmetic at every node,
+    with no distinct-node pass and no common denominator."""
+    rho = [Fraction(x) for x in data.rho.rho_samples(n)]
+    qs = [[Fraction(x) for x in data.density_samples(j, n)] for j in range(data.m)]
+    return [[sum(weight * falling_factorial(k, j) * (-1) ** j * q[i] * rho[i] ** (k - j)
+                 for j, q in enumerate(qs[: k + 1])) for i in range(n)] for k in orders]
+
+
+def _sampled(rng, n, m, den_max):
+    """Exact sampled body whose nodes carry unrelated denominators up to
+    ``den_max``, with densities of both signs."""
+    def value(lo):
+        return Fraction(rng.randint(lo, 99) or 1, rng.randint(1, den_max))
+
+    rho = mirrored([value(1) for _ in range(n // 2)])
+    densities = tuple(mirrored([value(-99) for _ in range(n // 2)]) for _ in range(m))
+    return TangentialData(SupportFunction.from_samples(rho), densities)
+
+
+class TestExactColumnsOnIntegers:
+    ORDERS = list(range(0, 25, 2))
+
+    def _bodies(self, rng):
+        n = 16
+        rational_rho = SupportFunction.from_rho2_poly(TrigPoly.constant(Fraction(49, 9)))
+        yield "disk", TangentialData(disk(Fraction(3, 2)), (Fraction(2, 3), -1, Fraction(-5, 7)))
+        yield "disk of ints", TangentialData(disk(2), (1, 3))
+        yield "trig", TangentialData(rational_rho, (TrigPoly.constant(Fraction(-1, 4)),
+                                                    TrigPoly.constant(Fraction(5, 6))))
+        yield "sampled rho, trig density", TangentialData(
+            SupportFunction.from_samples(mirrored([Fraction(1, 3), 2, Fraction(5, 7), 1] * 2)),
+            (TrigPoly.constant(Fraction(1, 2)), Fraction(-3, 11)))
+        for m in (1, 2, 3):
+            yield f"sampled m={m}", _sampled(rng, n, m, 10**6)
+        ints = [mirrored([rng.randint(-9, 9) for _ in range(n // 2)]) for _ in range(3)]
+        yield "sampled ints", TangentialData(
+            SupportFunction.from_samples(mirrored([rng.randint(1, 9) for _ in range(n // 2)])),
+            tuple(ints))
+
+    @pytest.mark.parametrize("weight", [1, 2])
+    def test_samples_equal_fraction_arithmetic(self, weight, rng):
+        for name, data in self._bodies(rng):
+            n = data.natural_grid_size if data.rho.grid_size else 16
+            got = even_moments(data, self.ORDERS, n, weight=weight)
+            want = _fraction_moments(data, self.ORDERS, n, weight)
+            for k, p, ref in zip(self.ORDERS, got, want):
+                assert p.values.dtype == object
+                assert list(p.values) == ref, (name, k)

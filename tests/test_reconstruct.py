@@ -1,5 +1,7 @@
 import importlib
 import math
+import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -18,8 +20,10 @@ from radonrange import (
     TangentialData,
     TrigPoly,
     disk,
+    hankel_certificate,
     make_ellipse,
     moment,
+    moment_oracle,
     perturb,
     reconstruct,
     reconstruct_from_data,
@@ -30,7 +34,7 @@ from radonrange import (
 from radonrange import exactla
 from radonrange.circle import distinct_nodes
 from radonrange.errors import SingularMatrixError
-from radonrange.reconstruct import _solve_at_index
+from radonrange.reconstruct import _solve_at_index, _solve_nodes
 from tests.conftest import (
     GRIDS_PRIME_TO_6,
     mirrored,
@@ -571,6 +575,165 @@ class TestExactSolveOnDistinctNodes:
             reconstruct(_exact_rows(rows), 2)
         with pytest.raises(NotInModelError, match=r"^rho\^2 <= 0 at grid index 3$"):
             _exact_per_node(_exact_rows(rows), 2, _exact_reference_node)
+
+
+# ---------------------------------------------------------------------------
+# the exact solve runs on integers over each node's lcm; it must equal
+# Fraction arithmetic at every node, the float maxima bit for bit
+# ---------------------------------------------------------------------------
+
+
+def _exact_row_reference_node(seq, m, index):
+    """Exact rho^2 at one node in ``Fraction`` arithmetic: ``exactla.solve``
+    on the Fraction power system, then the recurrence rows r < m at
+    rho^2 = u_1; the raised exception class and message are part of the
+    reference."""
+    a, b = _reference_system(seq, m, index, object)
+    try:
+        u1 = exactla.solve(a, b)[0]
+    except SingularMatrixError as exc:
+        raise DegeneratePointError(f"singular system at grid index {index}") from exc
+    p = [seq.values(t)[index] for t in range(2 * m)]
+    for r in range(m):
+        if sum((-1) ** k * math.comb(m, k) * u1 ** (m - k) * p[r + k] for k in range(m + 1)):
+            raise NotInModelError(f"recurrence row {r} fails at grid index {index}")
+    if u1 <= 0:
+        raise NotInModelError(f"rho^2 <= 0 at grid index {index}")
+    return u1
+
+
+def _rational(rng, lo, den_max):
+    return Fraction(rng.randint(lo, 99) or 1, rng.randint(1, den_max))
+
+
+def _moved_last_order(seq):
+    """``seq`` with p_{2K} moved at every node, so that the rows r >= m that
+    read it leave nonzero residuals while the gate rows r < m still pass."""
+    rows = [list(seq.values(t)) for t in range(seq.max_half_order + 1)]
+    rows[-1] = [x + Fraction(1, 7**5) for x in rows[-1]]
+    return _exact_rows(rows)
+
+
+class TestExactSolveOnIntegers:
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_nodes_with_different_denominators(self, m, rng):
+        n = 64
+        rho = [_rational(rng, 1, 10**4) for _ in range(n // 2)]
+        densities = [[_rational(rng, -99, 10**4) for _ in range(n // 2)] for _ in range(m)]
+        if m > 1:
+            densities[-1][7] = 0  # q_{m-1} = 0: a singular system at nodes 7 and 39
+        data = TangentialData(SupportFunction.from_samples(mirrored(rho)),
+                              tuple(mirrored(q) for q in densities))
+        seq = synthesize_moments(data, 3 * m)
+        for moments_, residual_is_zero in ((seq, True), (_moved_last_order(seq), False)):
+            report = reconstruct(moments_, m)
+            filled, degenerate, max_residual, residual_scale = _exact_per_node(
+                moments_, m, _exact_row_reference_node)
+            assert report.degenerate_indices == degenerate == ((7, 39) if m > 1 else ())
+            assert all(type(x) is type(y) and x == y
+                       for x, y in zip(report.rho2_values, filled))
+            assert report.max_residual == max_residual
+            assert report.residual_scale == residual_scale > 0
+            assert (max_residual == 0) == residual_is_zero
+
+    def test_failing_row_names_the_same_node_and_row(self):
+        # double roots lam_i with a different denominator at each node; at
+        # node 3, p = (0, 1/3, 1/5, 1/7) gives u_1 = 3/10 and u_2 != u_1^2,
+        # and with p_0 = 0 only row 1 sees the split
+        n = 16
+        rows = [[None] * n for _ in range(4)]
+        for i in range(n // 2):
+            lam = Fraction(i + 2, 1000 + 7 * i)
+            _set_node(rows, i, [(1 + t) * lam**t for t in range(4)])
+        _set_node(rows, 3, [0, Fraction(1, 3), Fraction(1, 5), Fraction(1, 7)])
+        _set_node(rows, 5, [1, 1, 5, 1])  # row 0 fails here
+        message = r"^recurrence row 1 fails at grid index 3$"
+        with pytest.raises(NotInModelError, match=message):
+            reconstruct(_exact_rows(rows), 2)
+        with pytest.raises(NotInModelError, match=message):
+            _exact_per_node(_exact_rows(rows), 2, _exact_row_reference_node)
+        _set_node(rows, 2, [1, Fraction(-2, 3), Fraction(3, 9), Fraction(-4, 27)])  # rho^2 = -1/3
+        message = r"^rho\^2 <= 0 at grid index 2$"
+        with pytest.raises(NotInModelError, match=message):
+            reconstruct(_exact_rows(rows), 2)
+        with pytest.raises(NotInModelError, match=message):
+            _exact_per_node(_exact_rows(rows), 2, _exact_row_reference_node)
+
+    def test_many_denominators_stay_per_node(self):
+        # 512 distinct values with denominators up to 10^6: one lcm for the
+        # whole grid would carry numerators of hundreds of thousands of bits
+        rng = random.Random(1024)
+        half = []
+        while len(half) < 512:
+            x = Fraction(rng.randint(1, 10**6), rng.randint(1, 10**6))
+            if x not in half:
+                half.append(x)
+        data = TangentialData(SupportFunction.from_samples(mirrored(half)), (1, Fraction(1, 2)))
+        report = reconstruct(synthesize_moments(data, 6), 2)
+        assert report.verdict == "non-quadratic"
+        assert list(report.rho2_values) == [x * x for x in half + half]
+
+
+@st.composite
+def _small_rational_body(draw):
+    """m <= 3 and n <= 16: rho and the densities drawn from small pools of
+    rationals, so that node values repeat as on a sampled body."""
+    m = draw(st.integers(1, 3))
+    n = draw(st.sampled_from([4, 6, 8, 10, 12, 14, 16]))
+    value = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 10**4))
+    positive = st.builds(Fraction, st.integers(1, 20), st.integers(1, 10**4))
+
+    def column(values):
+        pool = draw(st.lists(values, min_size=1, max_size=3))
+        return mirrored(draw(st.lists(st.sampled_from(pool), min_size=n // 2, max_size=n // 2)))
+
+    rho = SupportFunction.from_samples(column(positive))
+    densities = [column(value) for _ in range(m)]
+    if not any(densities[-1]):  # the top density may vanish at some nodes, not at all
+        densities[-1][0] = densities[-1][n // 2] = Fraction(1)
+    return TangentialData(rho, tuple(densities))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_integer_kernels_equal_fraction_arithmetic(data):
+    body = data.draw(_small_rational_body())
+    m, n = body.m, body.natural_grid_size
+    seq = synthesize_moments(body, 3 * m - 2 + data.draw(st.integers(0, 2)))
+    thetas = theta_grid(n)
+    for t in range(seq.max_half_order + 1):
+        assert list(seq.values(t)) == [moment_oracle(body, 2 * t, float(th)) / 2 for th in thetas]
+    if data.draw(st.booleans()):  # move one node, so that rows may fail
+        rows = [list(seq.values(t)) for t in range(seq.max_half_order + 1)]
+        t, i = data.draw(st.integers(0, seq.max_half_order)), data.draw(st.integers(0, n // 2 - 1))
+        _set_node(rows, i, [*(r[i] for r in rows[:t]), rows[t][i] + Fraction(1, 3),
+                            *(r[i] for r in rows[t + 1:])])
+        seq = _exact_rows(rows)
+
+    solved, degenerate, error = [], [], None
+    for i in range(n):
+        try:
+            solved.append((i, _exact_row_reference_node(seq, m, i)))
+        except DegeneratePointError:
+            degenerate.append(i)
+        except NotInModelError as exc:
+            error = str(exc)
+            break
+    if error is not None:
+        with pytest.raises(NotInModelError, match=f"^{re.escape(error)}$"):
+            _solve_nodes(seq, m, np.arange(n))
+    else:
+        rho2, mask, max_residual, residual_scale = _solve_nodes(seq, m, np.arange(n))
+        assert np.nonzero(mask)[0].tolist() == degenerate
+        assert [(i, rho2[i]) for i, _ in solved] == solved
+        assert (max_residual, residual_scale) == _reference_residual(seq, m, solved)
+
+    if any(body.density_samples(m - 1, n)):
+        cert = hankel_certificate(body, n)
+        for i, th in enumerate(thetas):
+            hankel = [[moment_oracle(body, 2 * (t + u), float(th)) for u in range(m)]
+                      for t in range(m)]
+            assert cert.determinants[i] == exactla.det(exactla.fraction_matrix(hankel))
 
 
 @st.composite
